@@ -24,6 +24,7 @@ from .formats import (
     group_ground_truth,
     group_predictions,
     read_ground_truth,
+    read_labels,
     read_predictions,
     read_report,
     write_ground_truth,

@@ -175,15 +175,18 @@ def encode_box(anchor: Box, gt: Box) -> BoxDelta:
 
 
 def decode_box(anchor: Box, delta: BoxDelta) -> Box:
-    """Inverse of :func:`encode_box`."""
+    """Inverse of :func:`encode_box`; a ``tw`` or ``th`` that overflows exp is a ValueError."""
     wa, ha = anchor.width, anchor.height
     if wa <= 0.0 or ha <= 0.0:
         raise ValueError(f"anchor must have positive extents: {anchor!r}")
     xa, ya = anchor.center
     xc = delta.tx * wa + xa
     yc = delta.ty * ha + ya
-    w = wa * math.exp(delta.tw)
-    h = ha * math.exp(delta.th)
+    try:
+        w = wa * math.exp(delta.tw)
+        h = ha * math.exp(delta.th)
+    except OverflowError:
+        raise ValueError(f"box delta overflows on decoding: {delta!r}") from None
     return Box(xc - 0.5 * w, yc - 0.5 * h, xc + 0.5 * w, yc + 0.5 * h)
 
 

@@ -15,18 +15,18 @@ parameters.
 """
 
 import argparse
-import csv
 import json
 import random
 import sys
+from collections import Counter
 
 from .anchors import AnchorSpec, generate_anchors
 from .formats import (
-    FormatError,
     PredRecord,
     group_ground_truth,
     group_predictions,
     read_ground_truth,
+    read_labels,
     read_predictions,
     write_predictions,
     write_report,
@@ -164,29 +164,10 @@ def _cmd_folds(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    text = _read_text(args.labels)
-    reader = csv.reader(text.splitlines())
-    rows = enumerate(reader, start=1)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise FormatError("line 1: missing header") from None
-    if tuple(h.strip() for h in header) != ("patientId", "truth", "pred"):
-        raise FormatError(f"line 1: expected header 'patientId,truth,pred', got {','.join(header)!r}")
-    tp = fp = tn = fn = 0
-    for lineno, row in rows:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise FormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        truth, pred = row[1].strip(), row[2].strip()
-        if truth not in ("0", "1") or pred not in ("0", "1"):
-            raise FormatError(f"line {lineno}: truth and pred must be 0 or 1")
-        if truth == "1":
-            tp, fn = (tp + 1, fn) if pred == "1" else (tp, fn + 1)
-        else:
-            fp, tn = (fp + 1, tn) if pred == "1" else (fp, tn + 1)
-    m = confusion_metrics(ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn))
+    pairs = Counter((truth, pred) for _, truth, pred in read_labels(_read_text(args.labels)))
+    m = confusion_metrics(
+        ConfusionCounts(tp=pairs[1, 1], fp=pairs[0, 1], tn=pairs[0, 0], fn=pairs[1, 0])
+    )
     body = [
         "{",
         f'  "accuracy": {m.accuracy:.6f},',
@@ -211,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=_thresholds_arg, default=DEFAULT_THRESHOLDS,
                    help="IoU thresholds, lo:hi:step or a comma list (default 0.4:0.75:0.05)")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--workers", type=int, default=1, help="parallel per-image evaluators")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility: must be at least 1, has no effect")
     p.add_argument("--inclusive-iou", action="store_true",
                    help="count IoU equal to a threshold as a hit (default strictly greater)")
     p.set_defaults(func=_cmd_score)
@@ -271,9 +253,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,12 @@ space-separated ``conf x y w h`` quintuples, possibly empty)::
     p001,0.9 10 20 30 40 0.5 100 100 50 50
     p002,
 
-Boxes in both files use the (x, y, width, height) convention and are
+Labels CSV (binary per-image truth and prediction, for ``cxrdet classify``)::
+
+    patientId,truth,pred
+    p001,1,0
+
+Boxes in the first two use the (x, y, width, height) convention and are
 converted to corner form here, at the boundary, so everything downstream
 speaks a single convention. Unknown or missing columns are an error, LF and
 CRLF both parse, and floats are written with ``repr`` so read(write(x))
@@ -48,14 +53,29 @@ __all__ = [
     "group_predictions",
     "write_report",
     "read_report",
+    "read_labels",
+    "validate_thresholds",
 ]
 
 GT_COLUMNS = ("patientId", "x", "y", "width", "height", "Target")
 PRED_COLUMNS = ("patientId", "PredictionString")
+LABEL_COLUMNS = ("patientId", "truth", "pred")
 
 
 class FormatError(ValueError):
     """Malformed input file; the message names the offending line."""
+
+
+def validate_thresholds(thresholds) -> tuple[float, ...]:
+    """Check a threshold set: non-empty, strictly increasing, inside (0, 1)."""
+    ts = tuple(float(t) for t in thresholds)
+    if not ts:
+        raise ValueError("threshold set must be non-empty")
+    if any(not 0.0 < t < 1.0 for t in ts):
+        raise ValueError(f"thresholds must lie in (0, 1): {ts}")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError(f"thresholds must be strictly increasing: {ts}")
+    return ts
 
 
 @dataclass(frozen=True)
@@ -114,16 +134,10 @@ class ScoreReport:
     undefined: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(self.thresholds))
+        object.__setattr__(self, "thresholds", validate_thresholds(self.thresholds))
         object.__setattr__(self, "per_image", tuple(tuple(e) for e in self.per_image))
         object.__setattr__(self, "counts", tuple(self.counts))
         object.__setattr__(self, "undefined", tuple(self.undefined))
-        if not self.thresholds:
-            raise ValueError("report needs at least one threshold")
-        if any(not 0.0 < t < 1.0 for t in self.thresholds):
-            raise ValueError("thresholds must lie in (0, 1)")
-        if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise ValueError("thresholds must be strictly increasing")
         if len(self.counts) != len(self.thresholds) or any(
             c.threshold != t for c, t in zip(self.counts, self.thresholds)
         ):
@@ -142,20 +156,24 @@ class ScoreReport:
 
 def _parse_rows(text: str, columns: tuple[str, ...], n: int):
     """Yield (line_number, row) for non-empty rows, checking the header."""
+    # the limit is process-wide; no field can be longer than the whole text
+    if len(text) > csv.field_size_limit():
+        csv.field_size_limit(len(text))
     reader = csv.reader(text.splitlines())
-    rows = enumerate(reader, start=1)
     try:
-        _, header = next(rows)
-    except StopIteration:
-        raise FormatError("line 1: missing header") from None
-    if tuple(h.strip() for h in header) != columns:
-        raise FormatError(f"line 1: expected header {','.join(columns)!r}, got {','.join(header)!r}")
-    for lineno, row in rows:
-        if not row:
-            continue
-        if len(row) != n:
-            raise FormatError(f"line {lineno}: expected {n} fields, got {len(row)}")
-        yield lineno, row
+        header = next(reader, None)
+        if header is None:
+            raise FormatError("line 1: missing header")
+        if tuple(h.strip() for h in header) != columns:
+            raise FormatError(f"line 1: expected header {','.join(columns)!r}, got {','.join(header)!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != n:
+                raise FormatError(f"line {lineno}: expected {n} fields, got {len(row)}")
+            yield lineno, row
+    except csv.Error as exc:
+        raise FormatError(f"line {reader.line_num}: {exc}") from None
 
 
 def _parse_real(token: str, lineno: int, what: str) -> float:
@@ -248,6 +266,18 @@ def write_predictions(records) -> str:
             tokens.extend(repr(float(v)) for v in (det.score, x, y, w, h))
         writer.writerow([record.patient_id, " ".join(tokens)])
     return out.getvalue()
+
+
+def read_labels(text: str) -> list[tuple[str, int, int]]:
+    """Parse a ``patientId,truth,pred`` CSV of binary labels into
+    (patient_id, truth, pred) triples; raises FormatError naming the bad line."""
+    labels = []
+    for lineno, row in _parse_rows(text, LABEL_COLUMNS, 3):
+        pid, truth, pred = (f.strip() for f in row)
+        if truth not in ("0", "1") or pred not in ("0", "1"):
+            raise FormatError(f"line {lineno}: truth and pred must be 0 or 1")
+        labels.append((pid, int(truth), int(pred)))
+    return labels
 
 
 def group_ground_truth(records) -> dict[str, list[Box]]:

@@ -15,10 +15,9 @@ and their weighted combination).
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .formats import ScoreReport, ThresholdCounts
+from .formats import ScoreReport, ThresholdCounts, validate_thresholds
 from .geometry import iou
 
 __all__ = [
@@ -40,18 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLDS = (0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75)
-
-
-def validate_thresholds(thresholds) -> tuple[float, ...]:
-    """Check a threshold set: non-empty, strictly increasing, inside (0, 1)."""
-    ts = tuple(float(t) for t in thresholds)
-    if not ts:
-        raise ValueError("threshold set must be non-empty")
-    if any(not 0.0 < t < 1.0 for t in ts):
-        raise ValueError(f"thresholds must lie in (0, 1): {ts}")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError(f"thresholds must be strictly increasing: {ts}")
-    return ts
 
 
 def threshold_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
@@ -83,6 +70,34 @@ class MatchResult:
     matched_pairs: tuple[tuple[int, int, float], ...]
 
 
+def _match(preds, gt, ts, inclusive) -> list[MatchResult]:
+    """Greedy matching at every threshold in ``ts``, one MatchResult each.
+
+    Predictions are sorted once and each prediction/ground-truth IoU is
+    computed once; every threshold then walks the same overlap rows.
+    """
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
+    rows = [(pi, [iou(preds[pi].box, g) for g in gt]) for pi in order]
+    results = []
+    for t in ts:
+        unmatched = list(range(len(gt)))
+        pairs = []
+        for pi, overlaps in rows:
+            best_gi = -1
+            best_overlap = 0.0
+            for gi in unmatched:
+                if overlaps[gi] > best_overlap:
+                    best_overlap = overlaps[gi]
+                    best_gi = gi
+            hit = best_overlap >= t if inclusive else best_overlap > t
+            if best_gi >= 0 and hit:
+                unmatched.remove(best_gi)
+                pairs.append((pi, best_gi, best_overlap))
+        tp = len(pairs)
+        results.append(MatchResult(tp, len(preds) - tp, len(gt) - tp, tuple(pairs)))
+    return results
+
+
 def match_boxes(preds, gt, t: float, *, inclusive: bool = False) -> MatchResult:
     """Greedily match predictions to ground truth at IoU threshold ``t``.
 
@@ -93,28 +108,18 @@ def match_boxes(preds, gt, t: float, *, inclusive: bool = False) -> MatchResult:
     box can be matched at most once, so duplicate predictions of the same
     box count as false positives.
     """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1): {t!r}")
-    preds = list(preds)
-    gt = list(gt)
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-    unmatched = list(range(len(gt)))
-    pairs = []
-    for pi in order:
-        box = preds[pi].box
-        best_gi = -1
-        best_overlap = 0.0
-        for gi in unmatched:
-            overlap = iou(box, gt[gi])
-            if overlap > best_overlap:
-                best_overlap = overlap
-                best_gi = gi
-        hit = best_overlap >= t if inclusive else best_overlap > t
-        if best_gi >= 0 and hit:
-            unmatched.remove(best_gi)
-            pairs.append((pi, best_gi, best_overlap))
-    tp = len(pairs)
-    return MatchResult(tp, len(preds) - tp, len(gt) - tp, tuple(pairs))
+    return _match(list(preds), list(gt), validate_thresholds((t,)), inclusive)[0]
+
+
+def _score_image(preds, gt, ts, inclusive):
+    """One image's (score, [(tp, fp, fn) per threshold]); the score is None
+    when the image has neither predictions nor ground truth."""
+    preds, gt = list(preds), list(gt)
+    if not preds and not gt:
+        return None, [(0, 0, 0)] * len(ts)
+    matches = _match(preds, gt, ts, inclusive)
+    score = sum(m.tp / (m.tp + m.fp + m.fn) for m in matches) / len(ts)
+    return score, [(m.tp, m.fp, m.fn) for m in matches]
 
 
 def average_precision(preds, gt, thresholds=DEFAULT_THRESHOLDS, *, inclusive: bool = False) -> float | None:
@@ -125,17 +130,7 @@ def average_precision(preds, gt, thresholds=DEFAULT_THRESHOLDS, *, inclusive: bo
     predictions but nothing to find.
     """
     ts = validate_thresholds(thresholds)
-    preds = list(preds)
-    gt = list(gt)
-    if not preds and not gt:
-        return None
-    if not gt:
-        return 0.0
-    total = 0.0
-    for t in ts:
-        m = match_boxes(preds, gt, t, inclusive=inclusive)
-        total += m.tp / (m.tp + m.fp + m.fn)
-    return total / len(ts)
+    return _score_image(preds, gt, ts, inclusive)[0]
 
 
 def mean_average_precision(per_image) -> float:
@@ -159,29 +154,14 @@ def score_dataset(
     ``gt_boxes`` maps image id -> ground-truth Boxes (empty for negative
     images); ``predictions`` maps image id -> Detections. Images are the
     union of both key sets, evaluated in sorted-id order so the report is
-    identical regardless of input ordering or ``workers``; workers > 1 only
-    fans the (pure) per-image evaluation out across a thread pool.
+    identical regardless of input ordering. ``workers`` is accepted and
+    must be at least 1, but has no effect: scoring runs serially.
     """
     ts = validate_thresholds(thresholds)
     if workers < 1:
         raise ValueError(f"workers must be at least 1: {workers!r}")
     ids = sorted(set(gt_boxes) | set(predictions))
-
-    def evaluate(image_id):
-        preds = list(predictions.get(image_id, ()))
-        gts = list(gt_boxes.get(image_id, ()))
-        if not preds and not gts:
-            return None, [(0, 0, 0)] * len(ts)
-        matches = [match_boxes(preds, gts, t, inclusive=inclusive) for t in ts]
-        score = sum(m.tp / (m.tp + m.fp + m.fn) for m in matches) / len(ts)
-        return score, [(m.tp, m.fp, m.fn) for m in matches]
-
-    if workers > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, ids))
-    else:
-        results = [evaluate(image_id) for image_id in ids]
-
+    results = [_score_image(predictions.get(i, ()), gt_boxes.get(i, ()), ts, inclusive) for i in ids]
     per_image = tuple((image_id, score) for image_id, (score, _) in zip(ids, results))
     totals = [[0, 0, 0] for _ in ts]
     for _, counts in results:

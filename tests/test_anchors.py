@@ -179,6 +179,13 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             decode_box(flat, BoxDelta(0, 0, 0, 0))
 
+    def test_overflowing_delta_rejected(self):
+        # exp(800) is beyond float range; the error names the delta, nothing is clamped
+        with pytest.raises(ValueError, match="tw=800"):
+            decode_box(Box(0, 0, 10, 10), BoxDelta(0, 0, 800, 0))
+        with pytest.raises(ValueError, match="th=710"):
+            decode_box(Box(0, 0, 10, 10), BoxDelta(0, 0, 0, 710))
+
     def test_degenerate_target_rejected(self):
         # log of a zero extent would make the offsets non-finite
         with pytest.raises(ValueError):

@@ -1,7 +1,18 @@
+import random
+
 import numpy as np
 import pytest
 
-from cxrdet import read_pgm, read_report, write_pgm
+from cxrdet import (
+    Box,
+    Detection,
+    PredRecord,
+    read_pgm,
+    read_predictions,
+    read_report,
+    write_pgm,
+    write_predictions,
+)
 from cxrdet.cli import main
 
 GT_TEXT = """patientId,x,y,width,height,Target
@@ -113,6 +124,28 @@ class TestNms:
         preds = tmp_path / "preds.csv"
         preds.write_text(EMPTY_PREDS)
         assert main(["nms", str(preds), "--iou", "1.5"]) == 2
+
+    def test_rows_longer_than_the_csv_field_limit(self, tmp_path, capsys):
+        # 2 000 full-precision detections make a row far above csv's 131 072-character
+        # default; they overlap each other heavily, so hard NMS keeps one in a single pass
+        rng = random.Random(5)
+        dets = []
+        for _ in range(2000):
+            x, y = 100 + rng.random(), 100 + rng.random()
+            dets.append(Detection(Box(x, y, x + 50 + rng.random(), y + 50 + rng.random()),
+                                  rng.random()))
+        records = [PredRecord("p1", tuple(dets))]
+        text = write_predictions(records)
+        assert len(text) > 131072
+        assert read_predictions(text) == records
+        preds, kept = tmp_path / "preds.csv", tmp_path / "kept.csv"
+        gt = tmp_path / "gt.csv"
+        preds.write_text(text)
+        gt.write_text(GT_TEXT)
+        assert main(["nms", str(preds), "--out", str(kept)]) == 0
+        assert [len(r.detections) for r in read_predictions(kept.read_text())] == [1]
+        assert main(["score", str(gt), str(preds)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestAnchors:

@@ -13,6 +13,7 @@ from cxrdet import (
     group_ground_truth,
     group_predictions,
     read_ground_truth,
+    read_labels,
     read_predictions,
     read_report,
     write_predictions,
@@ -87,6 +88,10 @@ class TestPredictions:
     def test_dangling_tokens_rejected(self):
         with pytest.raises(FormatError, match="quintuple"):
             read_predictions("patientId,PredictionString\np1,0.9 10 20 30\n")
+
+    def test_nul_byte_names_the_line(self):
+        with pytest.raises(FormatError, match="line 2"):
+            read_predictions("patientId,PredictionString\np1,0.9 10 2\x000 30 40\n")
 
     def test_confidence_range_checked(self):
         with pytest.raises(FormatError, match="confidence"):
@@ -168,6 +173,30 @@ class TestReport:
     def test_invalid_json_rejected(self):
         with pytest.raises(FormatError):
             read_report("{not json")
+
+
+class TestLabels:
+    def test_rows_parse_to_int_pairs(self):
+        text = "patientId,truth,pred\np1,1,0\n\np2, 0 ,1\n\n"
+        assert read_labels(text) == [("p1", 1, 0), ("p2", 0, 1)]
+
+    def test_crlf_and_lf_parse_identically(self):
+        lf = "patientId,truth,pred\np1,1,1\np2,0,0\n"
+        assert read_labels(lf.replace("\n", "\r\n")) == read_labels(lf)
+
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ("", "line 1: missing header"),
+            ("patientId,truth\np1,1\n", "line 1: expected header"),
+            ("patientId,truth,pred\np1,1,1\np2,1\n", "line 3: expected 3 fields"),
+            ("patientId,truth,pred\np1,1,1\n\np2,2,0\n", "line 4: truth and pred"),
+            ("patientId,truth,pred\np1,1,yes\n", "line 2: truth and pred"),
+        ],
+    )
+    def test_malformed_inputs_name_the_line(self, text, fragment):
+        with pytest.raises(FormatError, match=fragment):
+            read_labels(text)
 
 
 def random_wire_report(rng):
