@@ -9,7 +9,9 @@ boxes into a clipped, deduplicated proposal list.
 import math
 from dataclasses import dataclass
 
-from .geometry import Box, iou
+import numpy as np
+
+from .geometry import Box, corners, iou, iou_matrix  # noqa: F401  (bench/tracing.py wraps iou here)
 from .nms import HARD, Detection, NmsConfig, nms
 
 __all__ = [
@@ -131,34 +133,24 @@ def label_anchors(anchors, gt, pos_iou: float = 0.7, neg_iou: float = 0.3) -> li
     """
     if not 0.0 <= neg_iou <= pos_iou <= 1.0:
         raise ValueError(f"need 0 <= neg_iou <= pos_iou <= 1, got {neg_iou}/{pos_iou}")
-    anchors = list(anchors)
-    gt = list(gt)
+    anchors, gt = list(anchors), list(gt)
     if not anchors:
         return []
     if not gt:
         return [AnchorLabel(NEGATIVE)] * len(anchors)
 
-    overlaps = [[iou(a, g) for g in gt] for a in anchors]
-    best_gt = [max(range(len(gt)), key=lambda gi: (row[gi], -gi)) for row in overlaps]
-    best_overlap = [row[bg] for row, bg in zip(overlaps, best_gt)]
-
-    forced: dict[int, int] = {}
-    for gi in range(len(gt)):
-        ai = max(range(len(anchors)), key=lambda a: (overlaps[a][gi], -a))
-        if overlaps[ai][gi] > 0.0 and ai not in forced:
-            forced[ai] = gi
-
-    labels = []
-    for ai in range(len(anchors)):
-        if ai in forced:
-            labels.append(AnchorLabel(POSITIVE, forced[ai]))
-        elif best_overlap[ai] >= pos_iou:
-            labels.append(AnchorLabel(POSITIVE, best_gt[ai]))
-        elif best_overlap[ai] < neg_iou:
-            labels.append(AnchorLabel(NEGATIVE))
-        else:
-            labels.append(AnchorLabel(IGNORE))
-    return labels
+    overlaps = iou_matrix(corners(anchors), corners(gt))
+    best_gt = overlaps.argmax(axis=1)  # first maximum: lowest index, here and below
+    best_overlap = overlaps[np.arange(len(anchors)), best_gt]
+    # index into table below: a ground-truth index, -2 for ignore or -1 for negative
+    assigned = np.where(best_overlap >= pos_iou, best_gt, np.where(best_overlap < neg_iou, -1, -2))
+    # reversed, so that an anchor forced by two boxes keeps the lower index
+    for gi, ai in reversed(list(enumerate(overlaps.argmax(axis=0).tolist()))):
+        if overlaps[ai, gi] > 0.0:
+            assigned[ai] = gi
+    table = [AnchorLabel(POSITIVE, gi) for gi in range(len(gt))]
+    table += [AnchorLabel(IGNORE), AnchorLabel(NEGATIVE)]
+    return [table[k] for k in assigned.tolist()]
 
 
 def encode_box(anchor: Box, gt: Box) -> BoxDelta:
@@ -203,10 +195,11 @@ def select_proposals(
 ) -> list[Detection]:
     """Clip, filter, and deduplicate scored boxes into a proposal list.
 
-    Boxes are clipped to [0, image_w] x [0, image_h]; any with a clipped
-    side shorter than ``min_size`` is discarded. The ``pre_top_n`` best by
-    score run through hard NMS at ``nms_iou`` and at most ``post_top_n``
-    survivors are returned in descending score order.
+    Every score must lie in [0, 1], else ValueError, even one whose box is
+    dropped. Boxes are clipped to [0, image_w] x [0, image_h]; any with a
+    clipped side shorter than ``min_size`` is discarded. The ``pre_top_n``
+    best by score (ties by input order) run through hard NMS at ``nms_iou``
+    and at most ``post_top_n`` survivors are returned by descending score.
     """
     boxes = list(boxes)
     scores = list(scores)
@@ -214,19 +207,17 @@ def select_proposals(
         raise ValueError(f"got {len(boxes)} boxes but {len(scores)} scores")
     if not (image_w > 0 and image_h > 0):
         raise ValueError(f"image size must be positive, got {image_w}x{image_h}")
+    values = np.array(scores, dtype=np.float64)
+    valid = (values >= 0.0) & (values <= 1.0)
+    if not valid.all():
+        raise ValueError(f"proposal score must be in [0, 1]: {scores[int(valid.argmin())]!r}")
 
-    candidates = []
-    for idx, (box, score) in enumerate(zip(boxes, scores)):
-        clipped = Box(
-            min(max(box.x_min, 0.0), image_w),
-            min(max(box.y_min, 0.0), image_h),
-            min(max(box.x_max, 0.0), image_w),
-            min(max(box.y_max, 0.0), image_h),
-        )
-        if clipped.width < min_size or clipped.height < min_size:
-            continue
-        candidates.append((idx, Detection(clipped, score)))
-    candidates.sort(key=lambda pair: (-pair[1].score, pair[0]))
-    shortlist = [det for _, det in candidates[:pre_top_n]]
+    clipped = corners(boxes)
+    # one clip per axis: a scalar bound keeps a -0.0 corner's sign, as max(-0.0, 0.0) does
+    np.clip(clipped[:, 0::2], 0.0, image_w, out=clipped[:, 0::2])
+    np.clip(clipped[:, 1::2], 0.0, image_h, out=clipped[:, 1::2])
+    order = np.flatnonzero(~(clipped[:, 2:] - clipped[:, :2] < min_size).any(axis=1))  # width, height
+    order = order[np.argsort(-values[order], kind="stable")][:pre_top_n].tolist()
+    shortlist = [Detection(Box(*clipped[i].tolist()), scores[i]) for i in order]
     kept = nms(shortlist, NmsConfig(mode=HARD, iou_threshold=nms_iou))
     return kept[:post_top_n]

@@ -159,7 +159,7 @@ def _parse_rows(text: str, columns: tuple[str, ...], n: int):
     # the limit is process-wide; no field can be longer than the whole text
     if len(text) > csv.field_size_limit():
         csv.field_size_limit(len(text))
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         if header is None:

@@ -8,7 +8,9 @@ is double precision.
 import math
 from dataclasses import dataclass
 
-__all__ = ["Box", "area", "intersection_area", "iou"]
+import numpy as np
+
+__all__ = ["Box", "area", "intersection_area", "iou", "corners", "iou_matrix"]
 
 
 @dataclass(frozen=True)
@@ -75,3 +77,20 @@ def iou(a: Box, b: Box) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def corners(boxes) -> np.ndarray:
+    """Boxes as an (N, 4) float64 array of (x_min, y_min, x_max, y_max) rows."""
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoU between the rows of two :func:`corners` arrays; every entry
+    takes :func:`iou`'s operation order, so it equals ``iou`` bit for bit."""
+    (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a.T[:, :, None], b.T[:, None, :]
+    w = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    h = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+    with np.errstate(all="ignore"):  # huge boxes overflow to inf and nan, as in iou; x/0 is discarded
+        inter = np.where((w > 0.0) & (h > 0.0), w * h, 0.0)
+        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+        return np.where(union <= 0.0, 0.0, inter / union)

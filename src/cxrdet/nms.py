@@ -1,14 +1,15 @@
 """Greedy non-maximum suppression, hard and soft.
 
-All variants share one loop: repeatedly move the highest-scoring remaining
-detection to the output, then rescale every remaining same-class score by a
-decay factor that depends on its overlap with the box just kept:
+All variants share one loop over a score vector and a live mask:
+repeatedly move the highest-scoring live detection to the output, then
+rescale the scores of its live same-class rivals by a decay factor that
+depends on their overlap with the box just kept, one IoU row at a time:
 
     hard           s * [iou <= Nt]          (0/1 pruning)
     soft-linear    s * (1 - iou)   if iou > Nt, else unchanged
     soft-gaussian  s * exp(-iou^2 / sigma)
 
-A detection is discarded the moment a decay pushes its score below
+A detection leaves the live mask the moment a decay pushes its score below
 ``score_cutoff``. Detections that are never decayed (factor 1) are kept no
 matter how small their input score, so fully disjoint inputs always pass
 through untouched.
@@ -17,7 +18,9 @@ through untouched.
 import math
 from dataclasses import dataclass
 
-from .geometry import Box, iou
+import numpy as np
+
+from .geometry import Box, corners, iou, iou_matrix  # noqa: F401  (bench/tracing.py wraps iou here)
 
 __all__ = ["Detection", "NmsConfig", "nms", "HARD", "SOFT_LINEAR", "SOFT_GAUSSIAN"]
 
@@ -64,39 +67,39 @@ class NmsConfig:
         if self.score_cutoff < 0.0:
             raise ValueError(f"score_cutoff must be non-negative: {self.score_cutoff!r}")
 
-    def decay(self, overlap: float) -> float:
-        """Score multiplier applied for a given overlap with a kept box."""
+    def decay(self, overlap: np.ndarray) -> np.ndarray:
+        """Score multipliers applied for an array of overlaps with a kept box."""
         if self.mode == HARD:
-            return 1.0 if overlap <= self.iou_threshold else 0.0
+            return np.where(overlap <= self.iou_threshold, 1.0, 0.0)
         if self.mode == SOFT_LINEAR:
-            return 1.0 - overlap if overlap > self.iou_threshold else 1.0
-        return math.exp(-(overlap * overlap) / self.sigma)
+            return np.where(overlap > self.iou_threshold, 1.0 - overlap, 1.0)
+        # math.exp per element: np.exp differs from it in the last bit on some inputs
+        return np.array([math.exp(-(v * v) / self.sigma) for v in overlap.tolist()])
 
 
 def nms(detections, config: NmsConfig | None = None) -> list[Detection]:
     """Suppress overlapping detections; returns survivors with decayed scores.
 
     Output is sorted by final score descending, ties broken by input order
-    (the greedy pop order already guarantees both). Detections with distinct
-    class ids never suppress each other.
+    (the greedy pick order already guarantees both), and holds the input's
+    own boxes. Detections with distinct class ids never suppress each other.
     """
     cfg = config if config is not None else NmsConfig()
-    # [input index, detection, current score]
-    pending = [[i, d, d.score] for i, d in enumerate(detections)]
+    dets = list(detections)
+    boxes = corners(d.box for d in dets)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    codes: dict = {}
+    classes = np.array([codes.setdefault(d.class_id, len(codes)) for d in dets], dtype=np.intp)
+    live = np.ones(len(dets), dtype=bool)
     kept: list[Detection] = []
-    while pending:
-        best = min(range(len(pending)), key=lambda j: (-pending[j][2], pending[j][0]))
-        _, det, score = pending.pop(best)
-        kept.append(Detection(det.box, score, det.class_id))
-        survivors = []
-        for entry in pending:
-            other = entry[1]
-            if other.class_id == det.class_id:
-                factor = cfg.decay(iou(det.box, other.box))
-                if factor < 1.0:
-                    entry[2] *= factor
-                    if entry[2] < cfg.score_cutoff:
-                        continue
-            survivors.append(entry)
-        pending = survivors
+    while live.any():
+        best = int(np.argmax(np.where(live, scores, -np.inf)))  # first maximum: lowest input index
+        live[best] = False
+        kept.append(Detection(dets[best].box, float(scores[best]), dets[best].class_id))
+        rivals = np.flatnonzero(live & (classes == classes[best]))
+        row = iou_matrix(boxes[best : best + 1], boxes[rivals])[0]
+        rivals, factor = rivals[row != 0.0], cfg.decay(row[row != 0.0])  # no mode decays a disjoint rival
+        decayed = rivals[factor < 1.0]
+        scores[decayed] *= factor[factor < 1.0]
+        live[decayed[scores[decayed] < cfg.score_cutoff]] = False
     return kept

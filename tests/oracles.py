@@ -4,10 +4,13 @@ Everything here deliberately avoids the library's own code paths: overlap
 is counted on rasterized unit-cell grids, NMS is the plain O(n^2)
 keep/suppress loop with its own inline IoU, histogram equalization is a
 direct per-pixel CDF remap, and greedy matching is verified by enumerating
-candidate assignments and filtering for greedy consistency.
+candidate assignments and filtering for greedy consistency. The scalar
+loops the library once ran for (soft-)NMS, anchor labelling and RoI
+pooling are kept as references for its array versions.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -102,3 +105,76 @@ def _is_greedy_consistent(assign, order, pred_boxes, gt_boxes, t):
         elif pi in assign:
             return False
     return True
+
+
+def scalar_nms(detections, mode, iou_threshold, sigma, score_cutoff):
+    """The per-object (soft-)NMS loop over (corners, score, class_id)
+    triples; returns (input index, final score) pairs in keep order."""
+
+    def decay(overlap):
+        if mode == "hard":
+            return 1.0 if overlap <= iou_threshold else 0.0
+        if mode == "soft-linear":
+            return 1.0 - overlap if overlap > iou_threshold else 1.0
+        return math.exp(-(overlap * overlap) / sigma)
+
+    pending = [[i, box, score, cls] for i, (box, score, cls) in enumerate(detections)]
+    kept = []
+    while pending:
+        best = min(range(len(pending)), key=lambda j: (-pending[j][2], pending[j][0]))
+        index, box, score, cls = pending.pop(best)
+        kept.append((index, score))
+        survivors = []
+        for entry in pending:
+            if entry[3] == cls:
+                factor = decay(_overlap(box, entry[1]))
+                if factor < 1.0:
+                    entry[2] *= factor
+                    if entry[2] < score_cutoff:
+                        continue
+            survivors.append(entry)
+        pending = survivors
+    return kept
+
+
+def scalar_label_anchors(anchors, gts, pos_iou, neg_iou):
+    """The per-anchor labelling loop over corner tuples; returns one
+    ("positive", gt index), ("negative", None) or ("ignore", None) per anchor."""
+    if not anchors or not gts:
+        return [("negative", None)] * len(anchors)
+    overlaps = [[_overlap(a, g) for g in gts] for a in anchors]
+    best_gt = [max(range(len(gts)), key=lambda gi: (row[gi], -gi)) for row in overlaps]
+    forced = {}
+    for gi in range(len(gts)):
+        ai = max(range(len(anchors)), key=lambda a: (overlaps[a][gi], -a))
+        if overlaps[ai][gi] > 0.0 and ai not in forced:
+            forced[ai] = gi
+    labels = []
+    for ai, row in enumerate(overlaps):
+        if ai in forced:
+            labels.append(("positive", forced[ai]))
+        elif row[best_gt[ai]] >= pos_iou:
+            labels.append(("positive", best_gt[ai]))
+        elif row[best_gt[ai]] < neg_iou:
+            labels.append(("negative", None))
+        else:
+            labels.append(("ignore", None))
+    return labels
+
+
+def per_bin_max_pool(fm, roi, out_w, out_h):
+    """RoI max pooling one output bin at a time, with the library's clip,
+    outward snap and bin rule; ``roi`` is a corner tuple covering cells."""
+    height, width = fm.shape[-2], fm.shape[-1]
+    cx0, cy0 = math.floor(max(roi[0], 0.0)), math.floor(max(roi[1], 0.0))
+    cx1, cy1 = math.ceil(min(roi[2], width)), math.ceil(min(roi[3], height))
+    roi_w, roi_h = cx1 - cx0, cy1 - cy0
+    out = np.empty(fm.shape[:-2] + (out_h, out_w), dtype=fm.dtype)
+    for j in range(out_h):
+        r0 = cy0 + (j * roi_h) // out_h
+        r1 = cy0 + -((-(j + 1) * roi_h) // out_h)
+        for i in range(out_w):
+            c0 = cx0 + (i * roi_w) // out_w
+            c1 = cx0 + -((-(i + 1) * roi_w) // out_w)
+            out[..., j, i] = fm[..., r0:r1, c0:c1].max(axis=(-2, -1))
+    return out

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cxrdet import (
     IGNORE,
@@ -19,7 +21,21 @@ from cxrdet import (
     select_proposals,
 )
 from helpers import random_positive_box
-from oracles import brute_force_hard_nms
+from oracles import brute_force_hard_nms, scalar_label_anchors
+
+side = st.integers(min_value=0, max_value=10)
+
+
+@st.composite
+def board_boxes(draw, max_size):
+    """Boxes on a small integer board, so duplicate and zero-area boxes and
+    tied overlaps are common."""
+    boxes = []
+    for _ in range(draw(st.integers(0, max_size))):
+        x0, x1 = sorted((draw(side), draw(side)))
+        y0, y1 = sorted((draw(side), draw(side)))
+        boxes.append(Box(float(x0), float(y0), float(x1), float(y1)))
+    return boxes
 
 
 class TestAnchorSpec:
@@ -146,6 +162,21 @@ class TestLabels:
         with pytest.raises(ValueError):
             label_anchors([Box(0, 0, 1, 1)], [], pos_iou=0.3, neg_iou=0.7)
 
+    @given(
+        board_boxes(30),
+        board_boxes(5),
+        st.lists(st.sampled_from((0.0, 0.25, 0.3, 0.5, 0.7, 1.0)), min_size=2, max_size=2),
+    )
+    def test_equals_scalar_loop(self, anchors, gt, thresholds):
+        neg_iou, pos_iou = sorted(thresholds)
+        labels = label_anchors(anchors, gt, pos_iou=pos_iou, neg_iou=neg_iou)
+        assert [(label.kind, label.gt_index) for label in labels] == scalar_label_anchors(
+            [(a.x_min, a.y_min, a.x_max, a.y_max) for a in anchors],
+            [(g.x_min, g.y_min, g.x_max, g.y_max) for g in gt],
+            pos_iou,
+            neg_iou,
+        )
+
 
 class TestEncodeDecode:
     def test_identity_encoding(self):
@@ -248,3 +279,13 @@ class TestSelectProposals:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             select_proposals([Box(0, 0, 1, 1)], [0.5, 0.6], 100, 100)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+    def test_out_of_range_score_rejected_wherever_it_is(self, bad):
+        boxes = [Box(0, 0, 10, 10), Box(20, 20, 30, 30), Box(40, 40, 50, 50)]
+        # outside the pre_top_n shortlist
+        with pytest.raises(ValueError, match="score"):
+            select_proposals(boxes, [0.9, 0.8, bad], 100, 100, pre_top_n=1)
+        # on a box the size filter drops
+        with pytest.raises(ValueError, match="score"):
+            select_proposals([*boxes, Box(0, 0, 0.5, 10)], [0.9, 0.8, 0.7, bad], 100, 100)

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cxrdet import (
     Box,
@@ -238,3 +240,72 @@ class TestPreprocess:
         write_pgm(src, img)
         assert main(["preprocess", str(src), "--hflip", "--out", str(out)]) == 0
         assert (read_pgm(out) == np.fliplr(img)).all()
+
+
+# bytes that stress decoding and CSV parsing: NUL, invalid UTF-8, a lone
+# surrogate, a BOM, line and field separators, quotes and extreme numbers
+AWKWARD = (b"\x00", b"\xff\xfe", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\r", b"\n", b"\x0c",
+           b"\xc2\x85", b"\xe2\x80\xa8", b'"', b",", b" ", b"nan", b"1e309", b"-0", b"99999999999")
+
+
+def fuzzed(valid: bytes):
+    """Random bytes, or ``valid`` truncated anywhere with awkward or random
+    bytes spliced in."""
+
+    @st.composite
+    def edited(draw):
+        data = valid[: draw(st.integers(0, len(valid)))]
+        for _ in range(draw(st.integers(0, 4))):
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.sampled_from(AWKWARD) | st.binary(max_size=3)) + data[at:]
+        return data
+
+    return st.binary(max_size=300) | edited()
+
+
+def small_pgm():
+    return st.builds(
+        lambda w, h, seed: b"P5\n%d %d\n255\n" % (w, h) + random.Random(seed).randbytes(w * h),
+        st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def put(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+class TestFuzz:
+    """Any bytes in any input file end in a documented exit code, never in
+    an escaping exception."""
+
+    @given(fuzzed(GT_TEXT.encode()), fuzzed(THREE_BOX_PREDS.encode()))
+    def test_score(self, fuzz_dir, gt, preds):
+        argv = ["score", put(fuzz_dir / "gt.csv", gt), put(fuzz_dir / "preds.csv", preds)]
+        assert main(argv + ["--out", str(fuzz_dir / "report.json")]) in (0, 1, 2)
+
+    @given(fuzzed(THREE_BOX_PREDS.encode()), st.sampled_from(("hard", "soft-linear", "soft-gaussian")))
+    def test_nms(self, fuzz_dir, preds, mode):
+        argv = ["nms", put(fuzz_dir / "preds.csv", preds), "--mode", mode]
+        assert main(argv + ["--out", str(fuzz_dir / "kept.csv")]) in (0, 1, 2)
+
+    @given(fuzzed(b"patientId,truth,pred\np1,1,1\np2,0,1\np3,1,0\n"))
+    def test_classify(self, fuzz_dir, labels):
+        argv = ["classify", put(fuzz_dir / "labels.csv", labels)]
+        assert main(argv + ["--out", str(fuzz_dir / "metrics.json")]) in (0, 1, 2)
+
+    @given(fuzzed(b"a\nb\nc\nd\n"))
+    def test_folds(self, fuzz_dir, ids):
+        argv = ["folds", put(fuzz_dir / "ids.txt", ids), "--k", "2"]
+        assert main(argv + ["--out", str(fuzz_dir / "folds.csv")]) in (0, 1, 2)
+
+    @given(small_pgm().flatmap(fuzzed) | small_pgm(), st.booleans())
+    def test_preprocess(self, fuzz_dir, pgm, augment):
+        argv = ["preprocess", put(fuzz_dir / "in.pgm", pgm), "--clahe", "--tiles", "2x2", "--resize", "8"]
+        argv += ["--rotate", "7", "--hflip"] if augment else []
+        assert main(argv + ["--out", str(fuzz_dir / "out.pgm")]) in (0, 1, 2)

@@ -93,6 +93,22 @@ class TestPredictions:
         with pytest.raises(FormatError, match="line 2"):
             read_predictions("patientId,PredictionString\np1,0.9 10 2\x000 30 40\n")
 
+    def test_form_feed_does_not_end_a_row(self):
+        with pytest.raises(FormatError, match="line 2: expected 2 fields, got 3"):
+            read_predictions("patientId,PredictionString\np1,0.9 1 2 3 4\x0cp2,0.5 1 2 3 4\n")
+
+    def test_next_line_character_does_not_shift_line_numbers(self):
+        text = "patientId,PredictionString\np1,0.9 1 2 3 4\x85\np2,0.9 x 2 3 4\n"
+        with pytest.raises(FormatError, match="line 3: non-numeric x"):
+            read_predictions(text)
+
+    def test_lone_cr_ends_rows(self):
+        text = "patientId,PredictionString\rp1,0.9 10 20 30 40\rp2,\r"
+        assert read_predictions(text) == [
+            PredRecord("p1", (Detection(Box(10, 20, 40, 60), 0.9),)),
+            PredRecord("p2", ()),
+        ]
+
     def test_confidence_range_checked(self):
         with pytest.raises(FormatError, match="confidence"):
             read_predictions("patientId,PredictionString\np1,1.5 10 20 30 40\n")

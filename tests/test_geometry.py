@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cxrdet import Box, area, intersection_area, iou
+from cxrdet.geometry import corners, iou_matrix
 from oracles import raster_iou
 
 coord = st.integers(min_value=0, max_value=64)
@@ -127,3 +129,41 @@ def test_rasterization_oracle_bulk():
             grid=65,
         )
         assert abs(iou(a, b) - expected) <= 1e-12
+
+
+# a small shared pool of values makes touching, nested and zero-area boxes
+# common; the scale reaches 1e300, where areas overflow to inf and IoU to nan
+pooled = st.sampled_from((-1.0, -0.0, 0.0, 0.25, 0.5, 1.0))
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def box_batches(draw):
+    scale = draw(st.sampled_from((1.0, 3.0, 1e-300, 1e150, 1e300)))
+    boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            xs, ys = [draw(pooled) * scale for _ in range(2)], [draw(pooled) * scale for _ in range(2)]
+        else:
+            xs, ys = [draw(any_finite) for _ in range(2)], [draw(any_finite) for _ in range(2)]
+        boxes.append(Box(min(xs), min(ys), max(xs), max(ys)))
+    return boxes
+
+
+class TestIouMatrix:
+    @given(box_batches(), box_batches())
+    def test_bit_identical_to_scalar_iou(self, a, b):
+        got = iou_matrix(corners(a), corners(b))
+        want = np.array([[iou(p, q) for q in b] for p in a], dtype=np.float64).reshape(len(a), len(b))
+        assert got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_named_cases(self):
+        big = Box(-1e300, -1e300, 1e300, 1e300)
+        boxes = [Box(0, 0, 2, 2), Box(2, 0, 4, 2), Box(1, 1, 1, 5), Box(0.5, 0.5, 1.5, 1.5), big]
+        got = iou_matrix(corners(boxes), corners(boxes))
+        assert got[0, 1] == 0.0  # touching along an edge
+        assert got[0, 2] == 0.0 and got[2, 2] == 0.0  # zero area
+        assert got[0, 3] == 0.25  # nested
+        assert math.isnan(got[4, 4]) and math.isnan(iou(big, big))  # inf - inf, as in the scalar form
+        assert corners([]).shape == (0, 4)

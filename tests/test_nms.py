@@ -2,10 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cxrdet import HARD, SOFT_GAUSSIAN, SOFT_LINEAR, Box, Detection, NmsConfig, iou, nms
 from helpers import random_detections
-from oracles import brute_force_hard_nms
+from oracles import brute_force_hard_nms, scalar_nms
 
 
 def det(x0, y0, x1, y1, score, class_id=None):
@@ -132,3 +134,49 @@ class TestInvariants:
                 dets = random_detections(rng, rng.randint(0, 20))
                 scores = [d.score for d in nms(dets, NmsConfig(mode=mode))]
                 assert scores == sorted(scores, reverse=True)
+
+
+side = st.integers(min_value=0, max_value=12)
+
+
+@st.composite
+def crowded_detections(draw):
+    """Boxes on a small integer board with scores in tenths, so overlaps,
+    duplicates and tied scores are common; class ids mix None, 0 and 1."""
+    dets = []
+    for _ in range(draw(st.integers(0, 25))):
+        x0, x1 = sorted((draw(side), draw(side)))
+        y0, y1 = sorted((draw(side), draw(side)))
+        box = Box(float(x0), float(y0), float(x1), float(y1))
+        dets.append(Detection(box, draw(st.integers(0, 10)) / 10, draw(st.sampled_from((None, 0, 1)))))
+    return dets
+
+
+def triples(dets):
+    return [((d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max), d.score, d.class_id) for d in dets]
+
+
+class TestScalarReference:
+    @given(
+        crowded_detections(),
+        st.sampled_from((HARD, SOFT_LINEAR, SOFT_GAUSSIAN)),
+        st.sampled_from((0.3, 0.5, 0.7)),
+        st.sampled_from((0.1, 0.5)),
+        st.sampled_from((0.0, 0.001, 0.3)),
+    )
+    def test_bit_identical_to_scalar_loop(self, dets, mode, threshold, sigma, cutoff):
+        out = nms(dets, NmsConfig(mode, threshold, sigma, cutoff))
+        ref = scalar_nms(triples(dets), mode, threshold, sigma, cutoff)
+        # the same box objects, in the same order, with the same score bits
+        assert [(id(d.box), d.score.hex(), d.class_id) for d in out] == [
+            (id(dets[i].box), score.hex(), dets[i].class_id) for i, score in ref
+        ]
+
+    @pytest.mark.parametrize("mode", [HARD, SOFT_LINEAR, SOFT_GAUSSIAN])
+    def test_overflowing_overlaps_match_scalar_loop(self, mode):
+        # areas overflow to inf, so overlaps between the first two boxes are nan
+        huge = 1e300
+        dets = [det(-huge, -huge, huge, huge, 0.9), det(-huge, 0, huge, huge, 0.8), det(0, 0, 1, 1, 0.7)]
+        out = nms(dets, NmsConfig(mode=mode))
+        ref = scalar_nms(triples(dets), mode, 0.5, 0.5, 0.001)
+        assert [(d.box, d.score) for d in out] == [(dets[i].box, score) for i, score in ref]

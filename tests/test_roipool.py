@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cxrdet import Box, roi_max_pool
+from oracles import per_bin_max_pool
 
 
 def ramp(h, w):
@@ -123,3 +126,30 @@ class TestProperties:
         assert out.tolist() == fm.tolist()
         sub = roi_max_pool(fm, Box(1, 1, 4, 3), 3, 2)
         assert sub.tolist() == fm[1:3, 1:4].tolist()
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((np.float64, np.float32, np.int64, np.int32, np.uint8)),
+    st.sampled_from((None, 1, 3)),
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(1, 5),
+    st.integers(1, 5),
+)
+def test_bit_identical_to_per_bin_loop(seed, dtype, channels, h, w, out_w, out_h):
+    rng = random.Random(seed)
+    gen = np.random.default_rng(seed)
+    shape = (h, w) if channels is None else (channels, h, w)
+    values = gen.integers(0, 6, size=shape)  # few values: ties inside bins
+    if np.dtype(dtype).kind == "f" and rng.random() < 0.5:
+        values = values + gen.standard_normal(shape)
+    fm = values.astype(dtype)
+    roi = random_roi(rng, w, h)
+    try:
+        got = roi_max_pool(fm, roi, out_w, out_h)
+    except ValueError:
+        return
+    want = per_bin_max_pool(fm, (roi.x_min, roi.y_min, roi.x_max, roi.y_max), out_w, out_h)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
