@@ -34,6 +34,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 from .geometry import Box
@@ -154,12 +155,16 @@ class ScoreReport:
             )
 
 
+# one line with its terminator; lines end only at LF, CRLF or a lone CR
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
 def _parse_rows(text: str, columns: tuple[str, ...], n: int):
     """Yield (line_number, row) for non-empty rows, checking the header."""
     # the limit is process-wide; no field can be longer than the whole text
     if len(text) > csv.field_size_limit():
         csv.field_size_limit(len(text))
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(m.group() for m in _LINE.finditer(text))
     try:
         header = next(reader, None)
         if header is None:

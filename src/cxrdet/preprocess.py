@@ -14,6 +14,11 @@ Image resampling (resize, rotation, shift) is bilinear with the pixel-center
 convention; samples outside the source read as 0 (black), matching the
 radiograph background. PGM (binary P5, 8-bit) is the image interchange
 format so fixtures stay bit-exact without codec dependencies.
+
+The per-pixel kernels (CLAHE's blend, resize and the augmentation sampler)
+work through the output in bands of rows. Every pixel takes the same
+floating-point operations in the same order whatever the band height, so
+results do not depend on banding.
 """
 
 import math
@@ -22,6 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box
+
+# rows per pass of the per-pixel kernels: a band's float64 temporaries stay
+# in cache where whole-image ones would stream through memory
+_BAND_ROWS = 16
 
 __all__ = [
     "AugmentSpec",
@@ -45,9 +54,29 @@ def _as_gray(img) -> np.ndarray:
     return a
 
 
-def _round_to_u8(values: np.ndarray) -> np.ndarray:
+def _round_into(values: np.ndarray, out: np.ndarray) -> None:
+    """Round half up and saturate ``values`` (clobbered) into uint8 ``out``."""
     # round half up, so the rule is direction-independent and deterministic
-    return np.clip(np.floor(values + 0.5), 0.0, 255.0).astype(np.uint8)
+    np.add(values, 0.5, out=values)
+    np.floor(values, out=values)
+    np.clip(values, 0.0, 255.0, out=values)
+    out[...] = values
+
+
+def _bilinear_into(flat, top, bottom, left, right, fx, fy, out) -> None:
+    """Write round((1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10
+    + fx * v11)) into ``out``, where v00 is ``flat[top + left]``, v01 is
+    ``flat[top + right]``, v10 is ``flat[bottom + left]`` and v11 is
+    ``flat[bottom + right]``."""
+    gx = 1.0 - fx
+    upper = gx * np.take(flat, top + left)
+    upper += fx * np.take(flat, top + right)
+    lower = gx * np.take(flat, bottom + left)
+    lower += fx * np.take(flat, bottom + right)
+    upper *= 1.0 - fy
+    lower *= fy
+    upper += lower
+    _round_into(upper, out)
 
 
 def _equalization_lut(hist: np.ndarray, n_pixels: int, clip_limit: float) -> np.ndarray:
@@ -91,7 +120,8 @@ def clahe(img, tiles_x: int = 8, tiles_y: int = 8, clip_limit: float = 2.0) -> n
 
     x_edges = [(t * w) // tiles_x for t in range(tiles_x + 1)]
     y_edges = [(t * h) // tiles_y for t in range(tiles_y + 1)]
-    luts = np.empty((tiles_y, tiles_x, 256))
+    # LUT entries are whole numbers in [0, 255], so uint8 holds them exactly
+    luts = np.empty((tiles_y, tiles_x, 256), dtype=np.uint8)
     for ty in range(tiles_y):
         for tx in range(tiles_x):
             tile = img[y_edges[ty] : y_edges[ty + 1], x_edges[tx] : x_edges[tx + 1]]
@@ -100,14 +130,17 @@ def clahe(img, tiles_x: int = 8, tiles_y: int = 8, clip_limit: float = 2.0) -> n
 
     ty0, ty1, wy = _blend_axis(h, y_edges)
     tx0, tx1, wx = _blend_axis(w, x_edges)
-    m00 = luts[ty0[:, None], tx0[None, :], img]
-    m01 = luts[ty0[:, None], tx1[None, :], img]
-    m10 = luts[ty1[:, None], tx0[None, :], img]
-    m11 = luts[ty1[:, None], tx1[None, :], img]
-    wy = wy[:, None]
-    wx = wx[None, :]
-    blended = (1.0 - wy) * ((1.0 - wx) * m00 + wx * m01) + wy * ((1.0 - wx) * m10 + wx * m11)
-    return _round_to_u8(blended)
+    # m00 of pixel (r, c) is luts[ty0[r], tx0[c], img[r, c]], and so on
+    flat = luts.ravel()
+    col0, col1 = tx0 * 256, tx1 * 256
+    out = np.empty((h, w), dtype=np.uint8)
+    for r0 in range(0, h, _BAND_ROWS):
+        rows = slice(r0, r0 + _BAND_ROWS)
+        pix = img[rows].astype(np.intp)
+        top = ty0[rows, None] * (tiles_x * 256) + pix
+        bottom = ty1[rows, None] * (tiles_x * 256) + pix
+        _bilinear_into(flat, top, bottom, col0, col1, wx, wy[rows, None], out[rows])
+    return out
 
 
 def resize(img, out_w: int, out_h: int) -> np.ndarray:
@@ -122,14 +155,14 @@ def resize(img, out_w: int, out_h: int) -> np.ndarray:
     y0 = np.floor(ys).astype(int)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (xs - x0)[None, :]
-    fy = (ys - y0)[:, None]
-    v00 = img[y0[:, None], x0[None, :]].astype(float)
-    v01 = img[y0[:, None], x1[None, :]].astype(float)
-    v10 = img[y1[:, None], x0[None, :]].astype(float)
-    v11 = img[y1[:, None], x1[None, :]].astype(float)
-    values = (1.0 - fy) * ((1.0 - fx) * v00 + fx * v01) + fy * ((1.0 - fx) * v10 + fx * v11)
-    return _round_to_u8(values)
+    fx = xs - x0
+    fy = ys - y0
+    flat = img.ravel()
+    out = np.empty((out_h, out_w), dtype=np.uint8)
+    for r0 in range(0, out_h, _BAND_ROWS):
+        rows = slice(r0, r0 + _BAND_ROWS)
+        _bilinear_into(flat, y0[rows, None] * w, y1[rows, None] * w, x0, x1, fx, fy[rows, None], out[rows])
+    return out
 
 
 def scale_boxes(boxes, sx: float, sy: float) -> list[Box]:
@@ -173,25 +206,6 @@ def _forward_affine(spec: AugmentSpec, w: int, h: int):
     return a11, a12, a21, a22, bx, by
 
 
-def _sample_bilinear_zero(img: np.ndarray, x_idx: np.ndarray, y_idx: np.ndarray) -> np.ndarray:
-    """Bilinear sample at fractional pixel indices; outside reads as 0."""
-    h, w = img.shape
-    x0 = np.floor(x_idx).astype(int)
-    y0 = np.floor(y_idx).astype(int)
-    fx = x_idx - x0
-    fy = y_idx - y0
-    acc = np.zeros(x_idx.shape)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xi = x0 + dx
-            yi = y0 + dy
-            weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            vals = img[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)].astype(float)
-            acc += weight * np.where(valid, vals, 0.0)
-    return _round_to_u8(acc)
-
-
 def augment(img, boxes, spec: AugmentSpec):
     """Apply rotation, shift, and horizontal flip to an image and its boxes.
 
@@ -228,11 +242,51 @@ def augment(img, boxes, spec: AugmentSpec):
     det = a11 * a22 - a12 * a21
     i11, i12 = a22 / det, -a12 / det
     i21, i22 = -a21 / det, a11 / det
-    out_x = (np.arange(w) + 0.5)[None, :] - bx
-    out_y = (np.arange(h) + 0.5)[:, None] - by
-    src_x = i11 * out_x + i12 * out_y
-    src_y = i21 * out_x + i22 * out_y
-    out = _sample_bilinear_zero(img, src_x - 0.5, src_y - 0.5)
+    out_x = (np.arange(w) + 0.5) - bx
+    out_y = (np.arange(h) + 0.5) - by
+    src_x_of_col, src_y_of_col = i11 * out_x, i21 * out_x
+
+    # Bilinear taps at (y0 | y0 + 1, x0 | x0 + 1) of a film framed by two
+    # zero pixels: with x0 clipped to [-2, w] and y0 to [-2, h], a tap outside
+    # the film reads 0 and every weight keeps its unclipped value.
+    stride = w + 4
+    framed = np.zeros((h + 4, stride), dtype=np.uint8)
+    framed[2:-2, 2:-2] = img
+    flat = framed.ravel()
+    taps = (flat, flat[1:], flat[stride:], flat[stride + 1 :])
+    out = np.empty((h, w), dtype=np.uint8)
+    for r0 in range(0, h, _BAND_ROWS):
+        rows = slice(r0, r0 + _BAND_ROWS)
+        x_idx = src_x_of_col + i12 * out_y[rows, None]
+        x_idx -= 0.5
+        y_idx = src_y_of_col + i22 * out_y[rows, None]
+        y_idx -= 0.5
+        x0 = np.floor(x_idx).astype(int)
+        y0 = np.floor(y_idx).astype(int)
+        fx = x_idx - x0
+        fy = y_idx - y0
+        gx = 1.0 - fx
+        gy = 1.0 - fy
+        # flat index of each (y0, x0) tap in the framed film
+        at = np.clip(y0, -2, h, out=y0)
+        at += 2
+        at *= stride
+        at += np.clip(x0, -2, w, out=x0)
+        at += 2
+        # acc = gx*gy*v00 + fx*gy*v01 + gx*fy*v10 + fx*fy*v11, summed in that
+        # order; the weights are formed in place as gx*fy, fx*fy and fx*gy
+        acc = gx * gy
+        acc *= np.take(taps[0], at)
+        gx *= fy
+        fy *= fx
+        fx *= gy
+        fx *= np.take(taps[1], at)
+        acc += fx
+        gx *= np.take(taps[2], at)
+        acc += gx
+        fy *= np.take(taps[3], at)
+        acc += fy
+        _round_into(acc, out[rows])
     return out, new_boxes
 
 

@@ -44,10 +44,22 @@ def roi_max_pool(feature_map, roi: Box, out_w: int, out_h: int) -> np.ndarray:
     if roi_w == 0 or roi_h == 0:
         raise ValueError(f"roi {roi} covers no cells after snapping")
 
-    # max is separable: pool rows into strips, then strips into bins
-    rows = [(cy0 + (j * roi_h) // out_h, cy0 - ((-(j + 1) * roi_h) // out_h)) for j in range(out_h)]
-    cols = [((i * roi_w) // out_w, -((-(i + 1) * roi_w) // out_w)) for i in range(out_w)]  # integer ceil
+    # Max is separable: pool rows into strips, then strips into bins. Each
+    # pass gathers every bin's d-th cell at once, repeating a bin's last cell
+    # once the bin runs out; max is idempotent, so a repeat changes nothing.
+    j = np.arange(out_h)
+    r0 = cy0 + (j * roi_h) // out_h
+    r1 = cy0 - ((-(j + 1) * roi_h) // out_h)  # integer ceil
+    i = np.arange(out_w)
+    c0 = (i * roi_w) // out_w
+    c1 = -((-(i + 1) * roi_w) // out_w)
     # the result comes before the scratch arrays: kept above them, it fragments the heap
     out = np.empty(fm.shape[:-2] + (out_h, out_w), dtype=fm.dtype)
-    strips = np.stack([fm[..., r0:r1, cx0:cx1].max(axis=-2) for r0, r1 in rows], axis=-2)
-    return np.stack([strips[..., c0:c1].max(axis=-1) for c0, c1 in cols], axis=-1, out=out)
+    region = fm[..., cx0:cx1]
+    strips = region[..., r0, :]
+    for d in range(1, int((r1 - r0).max())):
+        np.maximum(strips, region[..., np.minimum(r0 + d, r1 - 1), :], out=strips)
+    np.take(strips, c0, axis=-1, out=out)
+    for d in range(1, int((c1 - c0).max())):
+        np.maximum(out, np.take(strips, np.minimum(c0 + d, c1 - 1), axis=-1), out=out)
+    return out

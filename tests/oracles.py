@@ -6,13 +6,19 @@ keep/suppress loop with its own inline IoU, histogram equalization is a
 direct per-pixel CDF remap, and greedy matching is verified by enumerating
 candidate assignments and filtering for greedy consistency. The scalar
 loops the library once ran for (soft-)NMS, anchor labelling and RoI
-pooling are kept as references for its array versions.
+pooling are kept as references for its array versions, and so are the
+whole-image forms of its banded pixel kernels (the augmentation sampler,
+CLAHE's blend and resize). Those take the library's affine, tile-LUT and
+blend-axis helpers, which banding did not change, so they check the
+per-pixel arithmetic alone.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from cxrdet.preprocess import _blend_axis, _equalization_lut, _forward_affine
 
 
 def raster_cells(box, grid: int) -> np.ndarray:
@@ -178,3 +184,80 @@ def per_bin_max_pool(fm, roi, out_w, out_h):
             c1 = cx0 + -((-(i + 1) * roi_w) // out_w)
             out[..., j, i] = fm[..., r0:r1, c0:c1].max(axis=(-2, -1))
     return out
+
+
+def _round_to_u8(values):
+    return np.clip(np.floor(values + 0.5), 0.0, 255.0).astype(np.uint8)
+
+
+def whole_image_augment(img, spec):
+    """augment's image on whole-image float64 arrays: every pixel's source
+    point, then four masked, zero-filled bilinear taps."""
+    h, w = img.shape
+    if spec.is_identity:
+        return img.copy()
+    a11, a12, a21, a22, bx, by = _forward_affine(spec, w, h)
+    det = a11 * a22 - a12 * a21
+    i11, i12 = a22 / det, -a12 / det
+    i21, i22 = -a21 / det, a11 / det
+    out_x = (np.arange(w) + 0.5)[None, :] - bx
+    out_y = (np.arange(h) + 0.5)[:, None] - by
+    x_idx = (i11 * out_x + i12 * out_y) - 0.5
+    y_idx = (i21 * out_x + i22 * out_y) - 0.5
+    x0 = np.floor(x_idx).astype(int)
+    y0 = np.floor(y_idx).astype(int)
+    fx = x_idx - x0
+    fy = y_idx - y0
+    acc = np.zeros(x_idx.shape)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            xi = x0 + dx
+            yi = y0 + dy
+            weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
+            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+            vals = img[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)].astype(float)
+            acc += weight * np.where(valid, vals, 0.0)
+    return _round_to_u8(acc)
+
+
+def whole_image_clahe(img, tiles_x, tiles_y, clip_limit):
+    """CLAHE with the four tile mappings gathered as whole-image float64
+    arrays and blended in one expression."""
+    h, w = img.shape
+    x_edges = [(t * w) // tiles_x for t in range(tiles_x + 1)]
+    y_edges = [(t * h) // tiles_y for t in range(tiles_y + 1)]
+    luts = np.empty((tiles_y, tiles_x, 256))
+    for ty in range(tiles_y):
+        for tx in range(tiles_x):
+            tile = img[y_edges[ty] : y_edges[ty + 1], x_edges[tx] : x_edges[tx + 1]]
+            hist = np.bincount(tile.ravel(), minlength=256).astype(float)
+            luts[ty, tx] = _equalization_lut(hist, tile.size, clip_limit)
+    ty0, ty1, wy = _blend_axis(h, y_edges)
+    tx0, tx1, wx = _blend_axis(w, x_edges)
+    m00 = luts[ty0[:, None], tx0[None, :], img]
+    m01 = luts[ty0[:, None], tx1[None, :], img]
+    m10 = luts[ty1[:, None], tx0[None, :], img]
+    m11 = luts[ty1[:, None], tx1[None, :], img]
+    wy = wy[:, None]
+    wx = wx[None, :]
+    blended = (1.0 - wy) * ((1.0 - wx) * m00 + wx * m01) + wy * ((1.0 - wx) * m10 + wx * m11)
+    return _round_to_u8(blended)
+
+
+def whole_image_resize(img, out_w, out_h):
+    """Bilinear pixel-center resize with whole-image float64 gathers."""
+    h, w = img.shape
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (xs - x0)[None, :]
+    fy = (ys - y0)[:, None]
+    v00 = img[y0[:, None], x0[None, :]].astype(float)
+    v01 = img[y0[:, None], x1[None, :]].astype(float)
+    v10 = img[y1[:, None], x0[None, :]].astype(float)
+    v11 = img[y1[:, None], x1[None, :]].astype(float)
+    values = (1.0 - fy) * ((1.0 - fx) * v00 + fx * v01) + fy * ((1.0 - fx) * v10 + fx * v11)
+    return _round_to_u8(values)

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cxrdet import (
     AugmentSpec,
@@ -14,7 +16,8 @@ from cxrdet import (
     resize,
     scale_boxes,
 )
-from oracles import global_hist_eq
+from cxrdet.preprocess import _BAND_ROWS
+from oracles import global_hist_eq, whole_image_augment, whole_image_clahe, whole_image_resize
 
 
 def random_image(rng, h, w):
@@ -243,3 +246,61 @@ class TestPgm:
     def test_malformed_rejected(self, data):
         with pytest.raises(ValueError):
             decode_pgm(data)
+
+
+# the banded kernels against their whole-image forms: band edges, single
+# rows and columns, and films pushed wholly off the image
+HEIGHTS = st.sampled_from((1, 2, _BAND_ROWS - 1, _BAND_ROWS, _BAND_ROWS + 1, 2 * _BAND_ROWS + 3))
+ODD_WIDTHS = st.sampled_from((1, 3, 5, 17, 31))
+
+
+def film(seed, h, w):
+    gen = np.random.default_rng(seed)
+    # a ramp plus noise, so tiles differ and every mapping is exercised
+    ramp = (np.arange(h)[:, None] * 7 + np.arange(w)[None, :] * 3) % 200
+    return (ramp + gen.integers(0, 56, size=(h, w))).astype(np.uint8)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    HEIGHTS,
+    ODD_WIDTHS,
+    st.one_of(st.sampled_from((0.0, 90.0, 180.0, -90.0, 270.0)), st.floats(-360.0, 360.0)),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.booleans(),
+)
+def test_augment_equals_whole_image_sampler(seed, h, w, rotation, shift_x, shift_y, hflip):
+    img = film(seed, h, w)
+    # shifts of up to three film sizes push the whole film off the image
+    spec = AugmentSpec(rotation, shift_x * w, shift_y * h, hflip)
+    got, _ = augment(img, [], spec)
+    assert got.tobytes() == whole_image_augment(img, spec).tobytes()
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    HEIGHTS,
+    ODD_WIDTHS,
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.one_of(st.just(math.inf), st.sampled_from((0.5, 2.0, 40.0)), st.floats(0.01, 100.0)),
+)
+def test_clahe_equals_whole_image_blend(seed, h, w, tiles_x, tiles_y, clip_limit):
+    img = film(seed, h, w)
+    tiles_x, tiles_y = min(tiles_x, w), min(tiles_y, h)
+    got = clahe(img, tiles_x=tiles_x, tiles_y=tiles_y, clip_limit=clip_limit)
+    assert got.tobytes() == whole_image_clahe(img, tiles_x, tiles_y, clip_limit).tobytes()
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    HEIGHTS,
+    ODD_WIDTHS,
+    st.one_of(HEIGHTS, st.integers(1, 100)),
+    st.one_of(ODD_WIDTHS, st.integers(1, 100)),
+)
+def test_resize_equals_whole_image_gather(seed, h, w, out_h, out_w):
+    img = film(seed, h, w)
+    got = resize(img, out_w, out_h)
+    assert got.tobytes() == whole_image_resize(img, out_w, out_h).tobytes()

@@ -153,3 +153,22 @@ def test_bit_identical_to_per_bin_loop(seed, dtype, channels, h, w, out_w, out_h
     want = per_bin_max_pool(fm, (roi.x_min, roi.y_min, roi.x_max, roi.y_max), out_w, out_h)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# Rois 0.5x to 6x the output grid, so bins span 1, 2, 3 and 6 cells (and
+# overlap when the roi is smaller than the grid), on wide and integer maps.
+FLOAT_MAP = np.random.default_rng(7).standard_normal((256, 48, 48))
+INT_MAP = np.random.default_rng(11).integers(-50, 50, size=(48, 48))
+
+
+@pytest.mark.parametrize("fm", [FLOAT_MAP, INT_MAP], ids=["float64-256ch", "int-2d"])
+@pytest.mark.parametrize("scale", [0.5, 1, 2, 3, 6])
+@pytest.mark.parametrize("origin", [(3.0, 2.0), (1.25, 2.5)])
+def test_long_bins_equal_per_bin_loop(fm, scale, origin):
+    out_w, out_h = 7, 5
+    x0, y0 = origin
+    roi = Box(x0, y0, x0 + scale * out_w, y0 + scale * out_h)
+    got = roi_max_pool(fm, roi, out_w, out_h)
+    want = per_bin_max_pool(fm, (roi.x_min, roi.y_min, roi.x_max, roi.y_max), out_w, out_h)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
