@@ -168,10 +168,11 @@ def encode_box(anchor: Box, gt: Box) -> BoxDelta:
 
 def decode_box(anchor: Box, delta: BoxDelta) -> Box:
     """Inverse of :func:`encode_box`; a ``tw`` or ``th`` that overflows exp is a ValueError."""
-    wa, ha = anchor.width, anchor.height
+    x0, y0, x1, y1 = anchor.x_min, anchor.y_min, anchor.x_max, anchor.y_max
+    wa, ha = x1 - x0, y1 - y0  # the width, height and center properties' own expressions
     if wa <= 0.0 or ha <= 0.0:
         raise ValueError(f"anchor must have positive extents: {anchor!r}")
-    xa, ya = anchor.center
+    xa, ya = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     xc = delta.tx * wa + xa
     yc = delta.ty * ha + ya
     try:
@@ -219,5 +220,7 @@ def select_proposals(
     order = np.flatnonzero(~(clipped[:, 2:] - clipped[:, :2] < min_size).any(axis=1))  # width, height
     order = order[np.argsort(-values[order], kind="stable")][:pre_top_n].tolist()
     shortlist = [Detection(Box(*clipped[i].tolist()), scores[i]) for i in order]
-    kept = nms(shortlist, NmsConfig(mode=HARD, iou_threshold=nms_iou))
+    cfg = NmsConfig(mode=HARD, iou_threshold=nms_iou)
+    # stop at post_top_n picks; a negative post_top_n still slices the full result
+    kept = nms(shortlist, cfg, max_keep=post_top_n if post_top_n >= 0 else None)
     return kept[:post_top_n]

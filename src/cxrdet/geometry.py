@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Box", "area", "intersection_area", "iou", "corners", "iou_matrix"]
+__all__ = ["Box", "area", "intersection_area", "iou", "corners", "box_columns", "iou_columns", "iou_matrix"]
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,8 @@ class Box:
     y_max: float
 
     def __post_init__(self):
+        if -math.inf < self.x_min <= self.x_max < math.inf and -math.inf < self.y_min <= self.y_max < math.inf:
+            return  # the common case in one pass; nan fails it and is reported below
         for v in (self.x_min, self.y_min, self.x_max, self.y_max):
             if not math.isfinite(v):
                 raise ValueError(f"box coordinates must be finite: {self!r}")
@@ -84,13 +86,34 @@ def corners(boxes) -> np.ndarray:
     return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=float).reshape(-1, 4)
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) IoU between the rows of two :func:`corners` arrays; every entry
-    takes :func:`iou`'s operation order, so it equals ``iou`` bit for bit."""
-    (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a.T[:, :, None], b.T[:, None, :]
+def box_columns(boxes: np.ndarray) -> np.ndarray:
+    """A :func:`corners` array as a (5, N) array of rows x_min, y_min, x_max,
+    y_max and area, each area taken as :func:`area` takes it."""
+    cols = np.empty((5, len(boxes)))
+    cols[:4] = boxes.T
+    with np.errstate(all="ignore"):  # huge boxes have infinite (or nan) area, as in area
+        np.multiply(cols[2] - cols[0], cols[3] - cols[1], out=cols[4])
+    return cols
+
+
+def iou_columns(a, b) -> np.ndarray:
+    """IoU between two broadcastable :func:`box_columns` forms (any sequences of
+    five columns or scalars), in :func:`iou`'s operation order, so it equals
+    ``iou`` bit for bit.
+
+    Huge boxes overflow to inf and nan exactly as in ``iou``; silencing numpy's
+    warnings about it is left to the caller, which may wrap many calls at once.
+    """
+    ax0, ay0, ax1, ay1, a_area = a
+    bx0, by0, bx1, by1, b_area = b
     w = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
     h = np.minimum(ay1, by1) - np.maximum(ay0, by0)
-    with np.errstate(all="ignore"):  # huge boxes overflow to inf and nan, as in iou; x/0 is discarded
-        inter = np.where((w > 0.0) & (h > 0.0), w * h, 0.0)
-        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-        return np.where(union <= 0.0, 0.0, inter / union)
+    inter = np.where(np.minimum(w, h) > 0.0, w * h, 0.0)  # w > 0 and h > 0; a nan fails both
+    union = a_area + b_area - inter
+    return np.where(union <= 0.0, 0.0, inter / union)  # x/0 is discarded
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoU between the rows of two :func:`corners` arrays; equals ``iou`` bit for bit."""
+    with np.errstate(all="ignore"):
+        return iou_columns(box_columns(a)[:, :, None], box_columns(b)[:, None, :])

@@ -1,18 +1,22 @@
 """Greedy non-maximum suppression, hard and soft.
 
-All variants share one loop over a score vector and a live mask:
-repeatedly move the highest-scoring live detection to the output, then
-rescale the scores of its live same-class rivals by a decay factor that
-depends on their overlap with the box just kept, one IoU row at a time:
+All variants share one walk over a float64 score vector in which -inf
+marks a detection that has left: repeatedly move the highest-scoring
+detection still in it to the output, then rescale the scores of its live
+same-class rivals by a decay factor that depends on their overlap with the
+box just kept, one IoU row at a time over corner columns and areas taken
+once per call:
 
     hard           s * [iou <= Nt]          (0/1 pruning)
     soft-linear    s * (1 - iou)   if iou > Nt, else unchanged
     soft-gaussian  s * exp(-iou^2 / sigma)
 
-A detection leaves the live mask the moment a decay pushes its score below
+A detection leaves the moment a decay pushes its score below
 ``score_cutoff``. Detections that are never decayed (factor 1) are kept no
 matter how small their input score, so fully disjoint inputs always pass
-through untouched.
+through untouched. ``max_keep`` stops the walk after that many picks: each
+pick is final, so the result is exactly the first ``max_keep`` detections of
+the full output, and proposal selection walks only as far as it keeps.
 """
 
 import math
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, corners, iou, iou_matrix  # noqa: F401  (bench/tracing.py wraps iou here)
+from .geometry import Box, box_columns, corners, iou, iou_columns  # noqa: F401  (bench/tracing.py wraps iou here)
 
 __all__ = ["Detection", "NmsConfig", "nms", "HARD", "SOFT_LINEAR", "SOFT_GAUSSIAN"]
 
@@ -67,39 +71,62 @@ class NmsConfig:
         if self.score_cutoff < 0.0:
             raise ValueError(f"score_cutoff must be non-negative: {self.score_cutoff!r}")
 
-    def decay(self, overlap: np.ndarray) -> np.ndarray:
-        """Score multipliers applied for an array of overlaps with a kept box."""
+    def _decay(self, rivals: np.ndarray, overlap: np.ndarray):
+        """The rivals an array of overlaps with a kept box decays, and their
+        score multipliers; a multiplier of 1 (or nan) decays nothing."""
         if self.mode == HARD:
-            return np.where(overlap <= self.iou_threshold, 1.0, 0.0)
+            return rivals[~(overlap <= self.iou_threshold)], 0.0  # a nan overlap suppresses
         if self.mode == SOFT_LINEAR:
-            return np.where(overlap > self.iou_threshold, 1.0 - overlap, 1.0)
+            factor = 1.0 - overlap
+            hit = (overlap > self.iou_threshold) & (factor < 1.0)  # 1 - iou is 1 for iou <= 2**-54
+            return rivals[hit], factor[hit]
+        near = overlap != 0.0  # exp(-0.0) is 1: a disjoint rival never decays
+        rivals, overlap = rivals[near], overlap[near]
+        values = (-(overlap * overlap) / self.sigma).tolist()
         # math.exp per element: np.exp differs from it in the last bit on some inputs
-        return np.array([math.exp(-(v * v) / self.sigma) for v in overlap.tolist()])
+        factor = np.fromiter(map(math.exp, values), np.float64, len(values))
+        hit = factor < 1.0  # an underflowing square gives 1 and a nan overlap nan: no decay
+        return rivals[hit], factor[hit]
 
 
-def nms(detections, config: NmsConfig | None = None) -> list[Detection]:
+def nms(
+    detections, config: NmsConfig | None = None, *, max_keep: int | None = None
+) -> list[Detection]:
     """Suppress overlapping detections; returns survivors with decayed scores.
 
     Output is sorted by final score descending, ties broken by input order
     (the greedy pick order already guarantees both), and holds the input's
     own boxes. Detections with distinct class ids never suppress each other.
+    With ``max_keep`` the walk stops after that many picks, so the result is
+    the first ``max_keep`` of the full output.
     """
     cfg = config if config is not None else NmsConfig()
+    if max_keep is not None and max_keep < 0:
+        raise ValueError(f"max_keep must be non-negative: {max_keep!r}")
     dets = list(detections)
-    boxes = corners(d.box for d in dets)
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    codes: dict = {}
-    classes = np.array([codes.setdefault(d.class_id, len(codes)) for d in dets], dtype=np.intp)
-    live = np.ones(len(dets), dtype=bool)
+    limit = len(dets) if max_keep is None else min(max_keep, len(dets))
+    scores = np.array([d.score for d in dets], dtype=np.float64)  # -inf once a detection has left
+    classes = None
+    if len({d.class_id for d in dets}) > 1:
+        codes: dict = {}
+        classes = np.array([codes.setdefault(d.class_id, len(codes)) for d in dets], dtype=np.intp)
+    cutoff = cfg.score_cutoff
     kept: list[Detection] = []
-    while live.any():
-        best = int(np.argmax(np.where(live, scores, -np.inf)))  # first maximum: lowest input index
-        live[best] = False
-        kept.append(Detection(dets[best].box, float(scores[best]), dets[best].class_id))
-        rivals = np.flatnonzero(live & (classes == classes[best]))
-        row = iou_matrix(boxes[best : best + 1], boxes[rivals])[0]
-        rivals, factor = rivals[row != 0.0], cfg.decay(row[row != 0.0])  # no mode decays a disjoint rival
-        decayed = rivals[factor < 1.0]
-        scores[decayed] *= factor[factor < 1.0]
-        live[decayed[scores[decayed] < cfg.score_cutoff]] = False
+    with np.errstate(all="ignore"):  # huge boxes overflow to inf and nan, as in iou
+        cols = box_columns(corners(d.box for d in dets))
+        while len(kept) < limit:
+            best = int(scores.argmax())  # first maximum: lowest input index
+            score = scores.item(best)
+            if score == -math.inf:
+                break
+            scores[best] = -math.inf
+            kept.append(Detection(dets[best].box, score, dets[best].class_id))
+            live = scores != -math.inf
+            if classes is not None:
+                live &= classes == classes[best]
+            rivals = live.nonzero()[0]
+            overlap = iou_columns(cols[:, best].tolist(), cols.take(rivals, axis=1))
+            rivals, factor = cfg._decay(rivals, overlap)
+            decayed = scores[rivals] * factor
+            scores[rivals] = np.where(decayed < cutoff, -math.inf, decayed)
     return kept

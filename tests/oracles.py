@@ -6,7 +6,8 @@ keep/suppress loop with its own inline IoU, histogram equalization is a
 direct per-pixel CDF remap, and greedy matching is verified by enumerating
 candidate assignments and filtering for greedy consistency. The scalar
 loops the library once ran for (soft-)NMS, anchor labelling and RoI
-pooling are kept as references for its array versions, and so are the
+pooling are kept as references for its array versions, box decoding
+through the ``Box`` properties as one for its inlined form, and so are the
 whole-image forms of its banded pixel kernels (the augmentation sampler,
 CLAHE's blend and resize). Those take the library's affine, tile-LUT and
 blend-axis helpers, which banding did not change, so they check the
@@ -166,6 +167,20 @@ def scalar_label_anchors(anchors, gts, pos_iou, neg_iou):
         else:
             labels.append(("ignore", None))
     return labels
+
+
+def property_decode_box(anchor, delta):
+    """Box decoding as it once read the anchor, through its width, height and
+    center properties; returns a corner tuple, and an overflowing exp raises."""
+    wa, ha = anchor.width, anchor.height
+    if wa <= 0.0 or ha <= 0.0:
+        raise ValueError(f"anchor must have positive extents: {anchor!r}")
+    xa, ya = anchor.center
+    xc = delta.tx * wa + xa
+    yc = delta.ty * ha + ya
+    w = wa * math.exp(delta.tw)
+    h = ha * math.exp(delta.th)
+    return (xc - 0.5 * w, yc - 0.5 * h, xc + 0.5 * w, yc + 0.5 * h)
 
 
 def per_bin_max_pool(fm, roi, out_w, out_h):

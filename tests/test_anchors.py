@@ -18,10 +18,12 @@ from cxrdet import (
     generate_anchors,
     iou,
     label_anchors,
+    nms,
     select_proposals,
 )
+from cxrdet import anchors as anchors_module
 from helpers import random_positive_box
-from oracles import brute_force_hard_nms, scalar_label_anchors
+from oracles import brute_force_hard_nms, property_decode_box, scalar_label_anchors
 
 side = st.integers(min_value=0, max_value=10)
 
@@ -217,6 +219,24 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="th=710"):
             decode_box(Box(0, 0, 10, 10), BoxDelta(0, 0, 0, 710))
 
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+        st.lists(st.floats(-750.0, 750.0), min_size=2, max_size=2),
+    )
+    def test_bit_identical_to_property_form(self, coords, shift, scale):
+        anchor = Box(min(coords[:2]), min(coords[2:]), max(coords[:2]), max(coords[2:]))
+        delta = BoxDelta(*shift, *scale)
+        try:
+            want = property_decode_box(anchor, delta)
+            Box(*want)
+        except (ValueError, OverflowError):  # a flat anchor, an overflowing exp or a non-finite corner
+            with pytest.raises(ValueError):
+                decode_box(anchor, delta)
+            return
+        got = decode_box(anchor, delta)
+        assert [v.hex() for v in (got.x_min, got.y_min, got.x_max, got.y_max)] == [v.hex() for v in want]
+
     def test_degenerate_target_rejected(self):
         # log of a zero extent would make the offsets non-finite
         with pytest.raises(ValueError):
@@ -272,6 +292,28 @@ class TestSelectProposals:
             for p in props:
                 assert 0 <= p.box.x_min <= p.box.x_max <= 100
                 assert 0 <= p.box.y_min <= p.box.y_max <= 100
+
+    @pytest.mark.parametrize("post_top_n", [0, 1, 3, 7, -2])
+    def test_early_stop_keeps_the_full_prefix(self, post_top_n):
+        rng = random.Random(43)
+        for _ in range(30):
+            boxes = [random_positive_box(rng, hi=90) for _ in range(rng.randint(0, 25))]
+            scores = [round(rng.random(), 2) for _ in boxes]
+            full = select_proposals(boxes, scores, 100, 100, post_top_n=len(boxes) + 5)
+            props = select_proposals(boxes, scores, 100, 100, post_top_n=post_top_n)
+            assert props == full[:post_top_n]
+
+    @pytest.mark.parametrize("post_top_n, max_keep", [(0, 0), (5, 5), (-2, None)])
+    def test_nms_stops_at_post_top_n(self, monkeypatch, post_top_n, max_keep):
+        seen = []
+
+        def spy(dets, config=None, *, max_keep=None):
+            seen.append(max_keep)
+            return nms(dets, config, max_keep=max_keep)
+
+        monkeypatch.setattr(anchors_module, "nms", spy)
+        select_proposals([Box(0, 0, 10, 10), Box(1, 1, 11, 11)], [0.9, 0.8], 100, 100, post_top_n=post_top_n)
+        assert seen == [max_keep]
 
     def test_empty_input(self):
         assert select_proposals([], [], 100, 100) == []

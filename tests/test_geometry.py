@@ -37,12 +37,12 @@ class TestBox:
 
     @pytest.mark.parametrize("coords", [(2, 0, 0, 2), (0, 2, 2, 0), (1, 1, 0.5, 2)])
     def test_negative_extent_rejected(self, coords):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be non-negative"):
             Box(*coords)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite"):
             Box(0, 0, bad, 1)
 
     def test_xywh_round_trip(self):
@@ -156,6 +156,17 @@ class TestIouMatrix:
         got = iou_matrix(corners(a), corners(b))
         want = np.array([[iou(p, q) for q in b] for p in a], dtype=np.float64).reshape(len(a), len(b))
         assert got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_bit_identical_on_random_overlaps(self):
+        # real-valued, mostly overlapping boxes, where any reordering of the arithmetic shows in the last bits
+        rng = random.Random(3)
+        boxes = []
+        for _ in range(150):
+            x, y = rng.uniform(0, 50), rng.uniform(0, 50)
+            boxes.append(Box(x, y, x + rng.uniform(0, 60), y + rng.uniform(0, 60)))
+        got = iou_matrix(corners(boxes), corners(boxes))
+        want = np.array([[iou(p, q) for q in boxes] for p in boxes], dtype=np.float64)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_named_cases(self):

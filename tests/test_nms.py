@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given
@@ -172,6 +173,14 @@ class TestScalarReference:
             (id(dets[i].box), score.hex(), dets[i].class_id) for i, score in ref
         ]
 
+    def test_vanishing_linear_decay_matches_scalar_loop(self):
+        # an overlap of about 2**-60 is above the threshold, but 1 - overlap rounds to 1: no decay
+        dets = [det(0, 0, 1, 1, 0.9), det(1 - 2**-40, 0, 2**20, 1, 0.0005)]
+        out = nms(dets, NmsConfig(SOFT_LINEAR, 1e-20, 0.5, 0.001))
+        ref = scalar_nms(triples(dets), SOFT_LINEAR, 1e-20, 0.5, 0.001)
+        assert [(d.box, d.score) for d in out] == [(dets[i].box, score) for i, score in ref]
+        assert out == dets
+
     @pytest.mark.parametrize("mode", [HARD, SOFT_LINEAR, SOFT_GAUSSIAN])
     def test_overflowing_overlaps_match_scalar_loop(self, mode):
         # areas overflow to inf, so overlaps between the first two boxes are nan
@@ -180,3 +189,36 @@ class TestScalarReference:
         out = nms(dets, NmsConfig(mode=mode))
         ref = scalar_nms(triples(dets), mode, 0.5, 0.5, 0.001)
         assert [(d.box, d.score) for d in out] == [(dets[i].box, score) for i, score in ref]
+
+
+class TestMaxKeep:
+    @given(
+        crowded_detections(),
+        st.sampled_from((HARD, SOFT_LINEAR, SOFT_GAUSSIAN)),
+        st.sampled_from((0.0, 0.001, 0.3)),
+        st.sampled_from(("mixed", None, 0, 1)),
+        st.sampled_from(("0", "1", "n-1", "n", "n+5")),
+    )
+    def test_prefix_of_the_full_output(self, dets, mode, cutoff, class_id, cut):
+        if class_id != "mixed":
+            dets = [Detection(d.box, d.score, class_id) for d in dets]
+        n = len(dets)
+        k = {"0": 0, "1": 1, "n-1": max(n - 1, 0), "n": n, "n+5": n + 5}[cut]
+        cfg = NmsConfig(mode, 0.5, 0.5, cutoff)
+        out = nms(dets, cfg, max_keep=k)
+        full = nms(dets, cfg)[:k]
+        assert [(id(d.box), d.score.hex(), d.class_id) for d in out] == [
+            (id(d.box), d.score.hex(), d.class_id) for d in full
+        ]
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="max_keep"):
+            nms([det(0, 0, 1, 1, 0.5)], max_keep=-1)
+
+    @pytest.mark.parametrize("mode", [HARD, SOFT_LINEAR, SOFT_GAUSSIAN])
+    def test_overflowing_boxes_warn_nothing(self, mode):
+        huge = 1e300
+        dets = [det(-huge, -huge, huge, huge, 0.9), det(-huge, 0, huge, huge, 0.8), det(0, 0, 1, 1, 0.7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(nms(dets, NmsConfig(mode=mode))) >= 1
