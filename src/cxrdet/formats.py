@@ -243,20 +243,42 @@ def read_predictions(text: str) -> list[PredRecord]:
                 f"line {lineno}: prediction string must hold conf x y w h "
                 f"quintuples, got {len(tokens)} tokens"
             )
+        try:
+            values = list(map(float, tokens))
+        except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            # the token-by-token reader finds the first bad token and words its error
+            records.append(PredRecord(pid, _parse_detections(tokens, lineno)))
+            continue
         detections = []
-        for k in range(0, len(tokens), 5):
-            conf = _parse_real(tokens[k], lineno, "confidence")
+        quintuples = iter(values)
+        for conf, x, y, w, h in zip(*[quintuples] * 5):
             if not 0.0 <= conf <= 1.0:
                 raise FormatError(f"line {lineno}: confidence {conf!r} outside [0, 1]")
-            x, y, w, h = (
-                _parse_real(tok, lineno, name)
-                for tok, name in zip(tokens[k + 1 : k + 5], "xywh")
-            )
             if w < 0 or h < 0:
                 raise FormatError(f"line {lineno}: negative box extent {w if w < 0 else h}")
-            detections.append(Detection(Box.from_xywh(x, y, w, h), conf))
+            detections.append(Detection(Box(x, y, x + w, y + h), conf))
         records.append(PredRecord(pid, tuple(detections)))
     return records
+
+
+def _parse_detections(tokens, lineno: int) -> tuple[Detection, ...]:
+    """A prediction string's quintuples read one token at a time, checking
+    each as it is read."""
+    detections = []
+    for k in range(0, len(tokens), 5):
+        conf = _parse_real(tokens[k], lineno, "confidence")
+        if not 0.0 <= conf <= 1.0:
+            raise FormatError(f"line {lineno}: confidence {conf!r} outside [0, 1]")
+        x, y, w, h = (
+            _parse_real(tok, lineno, name)
+            for tok, name in zip(tokens[k + 1 : k + 5], "xywh")
+        )
+        if w < 0 or h < 0:
+            raise FormatError(f"line {lineno}: negative box extent {w if w < 0 else h}")
+        detections.append(Detection(Box.from_xywh(x, y, w, h), conf))
+    return tuple(detections)
 
 
 def write_predictions(records) -> str:

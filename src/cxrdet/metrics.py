@@ -6,7 +6,8 @@ confidence order, a per-threshold precision tp / (tp + fp + fn) is computed
 over a set of IoU thresholds, the per-image score is the mean over
 thresholds, and the dataset score is the mean over images. Images with
 neither ground truth nor predictions are excluded from that final mean;
-images with predictions but no ground truth score zero.
+images with predictions but no ground truth score zero. Thresholds between
+which an image has no overlap form a band, and each band is walked once.
 
 Also here: binary-classification confusion metrics, seeded k-fold
 splitting, and pointwise loss evaluation (smooth L1, binary cross-entropy,
@@ -15,6 +16,7 @@ and their weighted combination).
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .formats import ScoreReport, ThresholdCounts, validate_thresholds
@@ -74,28 +76,51 @@ def _match(preds, gt, ts, inclusive) -> list[MatchResult]:
     """Greedy matching at every threshold in ``ts``, one MatchResult each.
 
     Predictions are sorted once and each prediction/ground-truth IoU is
-    computed once; every threshold then walks the same overlap rows.
+    computed once. A walk depends on a threshold only through which overlaps
+    pass it, so thresholds that no positive overlap separates share one walk,
+    and a band that no overlap passes needs none.
     """
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
+    n, m = len(preds), len(gt)
+    if not n or not m:
+        return [MatchResult(0, n, m, ())] * len(ts)
+    neg_scores = [-p.score for p in preds]
+    order = sorted(range(n), key=neg_scores.__getitem__)  # stable: ties keep input order
     rows = [(pi, [iou(preds[pi].box, g) for g in gt]) for pi in order]
+    # a walk only ever takes an overlap above 0.0, so nan (which fails every
+    # comparison, and would break sorting) never counts
+    positive = sorted([v for _, overlaps in rows for v in overlaps if v > 0.0])
+    # the overlaps that fail t: those <= t, or those < t when inclusive
+    count_failing = bisect_left if inclusive else bisect_right
     results = []
+    band = result = None
     for t in ts:
-        unmatched = list(range(len(gt)))
-        pairs = []
-        for pi, overlaps in rows:
-            best_gi = -1
-            best_overlap = 0.0
-            for gi in unmatched:
-                if overlaps[gi] > best_overlap:
-                    best_overlap = overlaps[gi]
-                    best_gi = gi
-            hit = best_overlap >= t if inclusive else best_overlap > t
-            if best_gi >= 0 and hit:
-                unmatched.remove(best_gi)
-                pairs.append((pi, best_gi, best_overlap))
-        tp = len(pairs)
-        results.append(MatchResult(tp, len(preds) - tp, len(gt) - tp, tuple(pairs)))
+        failing = count_failing(positive, t)
+        if failing != band:  # an overlap lies between the previous threshold and t
+            band = failing
+            result = MatchResult(0, n, m, ()) if failing == len(positive) else _walk(rows, n, m, t, inclusive)
+        results.append(result)
     return results
+
+
+def _walk(rows, n, m, t, inclusive) -> MatchResult:
+    """One greedy walk at threshold ``t`` over confidence-ordered overlap rows."""
+    unmatched = list(range(m))
+    pairs = []
+    for pi, overlaps in rows:
+        best_gi = -1
+        best_overlap = 0.0
+        for gi in unmatched:
+            if overlaps[gi] > best_overlap:
+                best_overlap = overlaps[gi]
+                best_gi = gi
+        hit = best_overlap >= t if inclusive else best_overlap > t
+        if best_gi >= 0 and hit:
+            unmatched.remove(best_gi)
+            pairs.append((pi, best_gi, best_overlap))
+            if not unmatched:
+                break
+    tp = len(pairs)
+    return MatchResult(tp, n - tp, m - tp, tuple(pairs))
 
 
 def match_boxes(preds, gt, t: float, *, inclusive: bool = False) -> MatchResult:

@@ -20,13 +20,13 @@ def roi_max_pool(feature_map, roi: Box, out_w: int, out_h: int) -> np.ndarray:
     cells.
 
     Raises ValueError for a roi entirely outside the map or one that snaps
-    to zero cells, and for non-positive output sizes.
+    to zero cells, for a non-finite cell the roi reads (cells outside the
+    snapped roi are never read, so they are not checked), and for
+    non-positive output sizes.
     """
     fm = np.asarray(feature_map)
     if fm.ndim not in (2, 3):
         raise ValueError(f"feature map must be 2-D or 3-D, got shape {fm.shape}")
-    if not np.isfinite(fm).all():
-        raise ValueError("feature map values must be finite")
     if out_w < 1 or out_h < 1:
         raise ValueError(f"output grid must be at least 1x1, got {out_w}x{out_h}")
     height, width = fm.shape[-2], fm.shape[-1]
@@ -43,6 +43,8 @@ def roi_max_pool(feature_map, roi: Box, out_w: int, out_h: int) -> np.ndarray:
     roi_h = cy1 - cy0
     if roi_w == 0 or roi_h == 0:
         raise ValueError(f"roi {roi} covers no cells after snapping")
+    if not np.isfinite(fm[..., cy0:cy1, cx0:cx1]).all():
+        raise ValueError("feature map values the roi reads must be finite")
 
     # Max is separable: pool rows into strips, then strips into bins. Each
     # pass gathers every bin's d-th cell at once, repeating a bin's last cell

@@ -11,7 +11,10 @@ through the ``Box`` properties as one for its inlined form, and so are the
 whole-image forms of its banded pixel kernels (the augmentation sampler,
 CLAHE's blend and resize). Those take the library's affine, tile-LUT and
 blend-axis helpers, which banding did not change, so they check the
-per-pixel arithmetic alone.
+per-pixel arithmetic alone. The metric's matcher once walked every
+threshold in full and the predictions reader once checked every token on
+its own; both are kept as references for the banded matcher and the
+bulk-parsing reader.
 """
 
 import itertools
@@ -19,6 +22,10 @@ import math
 
 import numpy as np
 
+from cxrdet.formats import PRED_COLUMNS, FormatError, PredRecord, _parse_rows
+from cxrdet.geometry import Box, iou
+from cxrdet.metrics import MatchResult
+from cxrdet.nms import Detection
 from cxrdet.preprocess import _blend_axis, _equalization_lut, _forward_affine
 
 
@@ -276,3 +283,65 @@ def whole_image_resize(img, out_w, out_h):
     v11 = img[y1[:, None], x1[None, :]].astype(float)
     values = (1.0 - fy) * ((1.0 - fx) * v00 + fx * v01) + fy * ((1.0 - fx) * v10 + fx * v11)
     return _round_to_u8(values)
+
+
+def per_threshold_match(preds, gt, ts, inclusive):
+    """Greedy matching with one full walk per threshold over IoU rows taken
+    once; one MatchResult per threshold."""
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
+    rows = [(pi, [iou(preds[pi].box, g) for g in gt]) for pi in order]
+    results = []
+    for t in ts:
+        unmatched = list(range(len(gt)))
+        pairs = []
+        for pi, overlaps in rows:
+            best_gi = -1
+            best_overlap = 0.0
+            for gi in unmatched:
+                if overlaps[gi] > best_overlap:
+                    best_overlap = overlaps[gi]
+                    best_gi = gi
+            hit = best_overlap >= t if inclusive else best_overlap > t
+            if best_gi >= 0 and hit:
+                unmatched.remove(best_gi)
+                pairs.append((pi, best_gi, best_overlap))
+        tp = len(pairs)
+        results.append(MatchResult(tp, len(preds) - tp, len(gt) - tp, tuple(pairs)))
+    return results
+
+
+def _token_real(token, lineno, what):
+    try:
+        value = float(token)
+    except ValueError:
+        raise FormatError(f"line {lineno}: non-numeric {what} {token!r}") from None
+    if not math.isfinite(value):
+        raise FormatError(f"line {lineno}: {what} must be finite, got {token!r}")
+    return value
+
+
+def token_by_token_read_predictions(text):
+    """The predictions reader that parses and checks one token at a time,
+    raising at the first bad one."""
+    records = []
+    for lineno, row in _parse_rows(text, PRED_COLUMNS, 2):
+        pid = row[0].strip()
+        if not pid:
+            raise FormatError(f"line {lineno}: empty patient id")
+        tokens = row[1].split()
+        if len(tokens) % 5:
+            raise FormatError(
+                f"line {lineno}: prediction string must hold conf x y w h "
+                f"quintuples, got {len(tokens)} tokens"
+            )
+        detections = []
+        for k in range(0, len(tokens), 5):
+            conf = _token_real(tokens[k], lineno, "confidence")
+            if not 0.0 <= conf <= 1.0:
+                raise FormatError(f"line {lineno}: confidence {conf!r} outside [0, 1]")
+            x, y, w, h = (_token_real(tok, lineno, name) for tok, name in zip(tokens[k + 1 : k + 5], "xywh"))
+            if w < 0 or h < 0:
+                raise FormatError(f"line {lineno}: negative box extent {w if w < 0 else h}")
+            detections.append(Detection(Box.from_xywh(x, y, w, h), conf))
+        records.append(PredRecord(pid, tuple(detections)))
+    return records

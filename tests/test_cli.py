@@ -6,16 +6,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cxrdet import (
+    DEFAULT_THRESHOLDS,
     Box,
     Detection,
     PredRecord,
+    ScoreReport,
+    ThresholdCounts,
+    group_ground_truth,
+    group_predictions,
+    mean_average_precision,
+    read_ground_truth,
     read_pgm,
     read_predictions,
     read_report,
+    threshold_range,
     write_pgm,
     write_predictions,
+    write_report,
 )
 from cxrdet.cli import main
+from oracles import per_threshold_match, token_by_token_read_predictions
 
 GT_TEXT = """patientId,x,y,width,height,Target
 p1,10,10,20,20,1
@@ -97,6 +107,89 @@ class TestScore:
         with pytest.raises(SystemExit) as exc:
             main(["score", "a", "b", "--thresholds", "0.9:0.1:0.1"])
         assert exc.value.code == 2
+
+
+def leaderboard(seed, images=80):
+    """Seeded ground-truth and predictions CSV texts. True boxes have sides
+    divisible by four, so their half- and three-quarter-width copies overlap
+    them in exactly 0.5 and 0.75; there are also jittered copies, random
+    boxes, tied confidences, empty prediction rows, target-0 rows and images
+    listed in only one of the two files."""
+    rng = random.Random(seed)
+    gt_lines, pred_lines = ["patientId,x,y,width,height,Target"], ["patientId,PredictionString"]
+    for i in range(images):
+        pid = f"img{i:03d}"
+        boxes = []
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+            w, h = 4 * rng.randint(10, 60), 4 * rng.randint(10, 60)
+            boxes.append((rng.randint(0, 700), rng.randint(0, 700), w, h))
+        kind = rng.random()
+        if kind > 0.1:  # the rest are listed in the predictions only
+            gt_lines += [f"{pid},{x},{y},{w},{h},1" for x, y, w, h in boxes] or [f"{pid},,,,,0"]
+        if kind < 0.05:
+            continue  # listed in the ground truth only
+        quintuples = []
+        for x, y, w, h in boxes:
+            copies = [(x, y, w // 2, h), (x, y, 3 * w // 4, h),  # IoU 0.5 and 0.75
+                      (x + rng.uniform(-0.2, 0.2) * w, y + rng.uniform(-0.2, 0.2) * h,
+                       w * rng.uniform(0.7, 1.3), h * rng.uniform(0.7, 1.3))]
+            quintuples += [c for c in copies if rng.random() < 0.5]
+        quintuples += [(rng.uniform(0, 800), rng.uniform(0, 800), rng.uniform(20, 200), rng.uniform(20, 200))
+                       for _ in range(rng.randint(0, 4))]
+        rng.shuffle(quintuples)
+        if rng.random() < 0.15:
+            quintuples = []
+        tokens = [f"{rng.choice((0.3, 0.5, 0.5, 0.9))} {x:.1f} {y:.1f} {w:.1f} {h:.1f}" for x, y, w, h in quintuples]
+        pred_lines.append(f"{pid},{' '.join(tokens)}")
+    return "\n".join(gt_lines) + "\n", "\n".join(pred_lines) + "\n"
+
+
+def oracle_score(gt_text, pred_text, ts, inclusive):
+    """stdout and report bytes of ``cxrdet score``, built from the token-by-token
+    reader and one full greedy walk per threshold."""
+    gt = group_ground_truth(read_ground_truth(gt_text))
+    preds = group_predictions(token_by_token_read_predictions(pred_text))
+    per_image, totals = [], [[0, 0, 0] for _ in ts]
+    for pid in sorted(set(gt) | set(preds)):
+        p, g = preds.get(pid, []), gt.get(pid, [])
+        if not p and not g:
+            per_image.append((pid, None))
+            continue
+        matches = per_threshold_match(p, g, ts, inclusive)
+        per_image.append((pid, sum(m.tp / (m.tp + m.fp + m.fn) for m in matches) / len(ts)))
+        for total, m in zip(totals, matches):
+            total[0] += m.tp
+            total[1] += m.fp
+            total[2] += m.fn
+    scores = [score for _, score in per_image]
+    report = ScoreReport(
+        dataset_map=mean_average_precision(scores),
+        thresholds=ts,
+        per_image=per_image,
+        counts=[ThresholdCounts(t, *total) for t, total in zip(ts, totals)],
+        undefined=() if any(s is not None for s in scores) else ("dataset_map",),
+    )
+    return f"{report.dataset_map:.6f}\n", write_report(report)
+
+
+class TestScoreBytes:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("flags, ts, inclusive", [
+        ([], DEFAULT_THRESHOLDS, False),
+        (["--inclusive-iou"], DEFAULT_THRESHOLDS, True),
+        (["--thresholds", "0.5,0.75"], (0.5, 0.75), False),
+        (["--thresholds", "0.3:0.9:0.15", "--inclusive-iou"], threshold_range(0.3, 0.9, 0.15), True),
+        (["--workers", "8"], DEFAULT_THRESHOLDS, False),
+    ])
+    def test_matches_the_oracle_report(self, tmp_path, capsys, seed, flags, ts, inclusive):
+        gt_text, pred_text = leaderboard(seed)
+        gt, preds, out = tmp_path / "gt.csv", tmp_path / "preds.csv", tmp_path / "report.json"
+        gt.write_text(gt_text)
+        preds.write_text(pred_text)
+        assert main(["score", str(gt), str(preds), "--out", str(out), *flags]) == 0
+        stdout, report = oracle_score(gt_text, pred_text, ts, inclusive)
+        assert capsys.readouterr().out == stdout
+        assert out.read_bytes() == report.encode()
 
 
 class TestNms:

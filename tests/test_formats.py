@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cxrdet import (
     Box,
@@ -19,6 +21,7 @@ from cxrdet import (
     write_predictions,
     write_report,
 )
+from oracles import token_by_token_read_predictions
 
 GT_HEADER = "patientId,x,y,width,height,Target"
 
@@ -129,6 +132,65 @@ class TestPredictions:
         text = "patientId,PredictionString\np1,0.9 0 0 10 10\np1,0.5 5 5 10 10\n"
         grouped = group_predictions(read_predictions(text))
         assert [d.score for d in grouped["p1"]] == [0.9, 0.5]
+
+
+def read_outcome(reader, text):
+    """The records ``reader`` returns, or the type and text of what it raises."""
+    try:
+        return reader(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# tokens that pass, then ones that fail the confidence or extent checks, do
+# not parse, or parse to nan or inf (1e309 overflows; 1e308 + 1e308 overflows x + w)
+GOOD_CONFIDENCES = ["0.9", "1", "0", "0.25"]
+GOOD_COORDINATES = ["10", "0", "2.5", "1e308", "1_0"]
+CONFIDENCES = GOOD_CONFIDENCES + ["1.5", "-0.1", "nan", "inf", "abc", "1e309"]
+COORDINATES = GOOD_COORDINATES + ["-3", "nan", "-inf", "Infinity", "x", "1e", "0x1"]
+
+
+@st.composite
+def prediction_texts(draw):
+    lines = ["patientId,PredictionString"]
+    for i in range(draw(st.integers(0, 4))):
+        clean = draw(st.booleans())  # a row of passing tokens takes the one-pass path to its end
+        confidences = st.sampled_from(GOOD_CONFIDENCES if clean else CONFIDENCES)
+        coordinates = st.sampled_from(GOOD_COORDINATES if clean else COORDINATES)
+        tokens = []
+        for _ in range(draw(st.integers(0, 4))):
+            tokens.append(draw(confidences))
+            tokens.extend(draw(st.lists(coordinates, min_size=4, max_size=4)))
+        if draw(st.integers(0, 9)) == 0:
+            tokens = tokens[:-1]  # a dangling token
+        lines.append(f"p{i},{' '.join(tokens)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestBulkParsedPredictions:
+    """Rows are parsed in one pass and only re-read token by token when a
+    token fails; records and every error must equal the token-by-token reader's."""
+
+    @given(prediction_texts())
+    def test_equals_the_token_by_token_reader(self, text):
+        assert read_outcome(read_predictions, text) == read_outcome(token_by_token_read_predictions, text)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.5 1 2 3 4 0.5 x 1 1 1", "line 3: confidence 1.5 outside [0, 1]"),
+        ("0.5 1 2 3 4 1.5 nan 1 1 1", "line 3: confidence 1.5 outside [0, 1]"),
+        ("0.5 1 2 3 4 -0.5 1 2 3 inf", "line 3: confidence -0.5 outside [0, 1]"),
+        ("0.5 1 2 -3 4 0.5 1 2 3 x", "line 3: negative box extent -3.0"),
+        ("0.5 1 2 3 -4 1.5 1 2 3 4", "line 3: negative box extent -4.0"),
+        ("0.5 1 2 -3 -4", "line 3: negative box extent -3.0"),
+        ("0.5 1 2 3 4 0.5 x 1 1 1 1.5 1 1 1 1", "line 3: non-numeric x 'x'"),
+        ("0.5 1 2 3 4 nan 1 1 1 1 1.5 1 1 1 1", "line 3: confidence must be finite, got 'nan'"),
+        ("0.5 1 2 3 4 0.5 1 1 inf 1 1.5 1 1 1 1", "line 3: w must be finite, got 'inf'"),
+        ("0.5 1 2 3 4 0.5 1 1 1 1e309", "line 3: h must be finite, got '1e309'"),
+    ])
+    def test_first_bad_token_in_row_order(self, row, message):
+        text = f"patientId,PredictionString\np1,0.9 1 1 1 1\np2,{row}\n"
+        assert read_outcome(read_predictions, text) == (FormatError, message)
+        assert read_outcome(token_by_token_read_predictions, text) == (FormatError, message)
 
 
 def tiny_report():

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cxrdet import (
     DEFAULT_THRESHOLDS,
@@ -9,6 +11,7 @@ from cxrdet import (
     ClassificationMetrics,
     ConfusionCounts,
     Detection,
+    MatchResult,
     average_precision,
     binary_cross_entropy,
     confusion_metrics,
@@ -20,9 +23,9 @@ from cxrdet import (
     threshold_range,
     total_loss,
 )
-from cxrdet.metrics import validate_thresholds
+from cxrdet.metrics import _match, validate_thresholds
 from helpers import random_positive_box
-from oracles import greedy_consistent_assignments
+from oracles import greedy_consistent_assignments, per_threshold_match
 
 
 def det(box, score):
@@ -120,6 +123,57 @@ class TestMatchBoxes:
             b = match_boxes(scaled_preds, scaled_gts, 0.5)
             assert (a.tp, a.fp, a.fn) == (b.tp, b.fp, b.fn)
             assert average_precision(preds, gts) == average_precision(scaled_preds, scaled_gts)
+
+
+# integer boxes on a small board overlap in exact fractions such as 0.5 and
+# 0.75; boxes of side 1e300 have infinite areas, so two of them overlap in nan
+grid_boxes = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h),
+                       st.integers(0, 6), st.integers(0, 6), st.integers(0, 4), st.integers(0, 4))
+huge_boxes = st.sampled_from([Box(0.0, 0.0, 1e300, 1e300), Box(-1e300, 0.0, 1e300, 1e300),
+                              Box(1.0, 1.0, 1e300, 2e300)])
+match_boxes_st = st.one_of(grid_boxes, grid_boxes, huge_boxes)
+tied_scores = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])
+threshold_sets = st.one_of(
+    st.just(DEFAULT_THRESHOLDS),
+    st.lists(st.sampled_from([0.1, 0.25, 0.3, 0.4, 0.5, 0.6, 0.75, 0.8, 0.9]), min_size=1, max_size=6,
+             unique=True).map(lambda ts: tuple(sorted(ts))),
+)
+
+
+class TestBandedMatching:
+    """The matcher walks once per band of thresholds that no overlap
+    separates; it must equal one full walk per threshold."""
+
+    @given(st.lists(st.builds(det, match_boxes_st, tied_scores), max_size=6),
+           st.lists(match_boxes_st, max_size=5), threshold_sets, st.booleans())
+    def test_equals_one_walk_per_threshold(self, preds, gt, ts, inclusive):
+        assert _match(preds, gt, ts, inclusive) == per_threshold_match(preds, gt, ts, inclusive)
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_overlaps_on_the_thresholds(self, inclusive):
+        gt = [Box(0, 0, 4, 4), Box(10, 0, 14, 4)]
+        preds = [det(Box(0, 0, 4, 3), 0.9), det(Box(10, 0, 12, 4), 0.9), det(Box(10, 0, 14, 4), 0.1)]  # 0.75, 0.5, 1.0
+        ts = (0.4, 0.5, 0.6, 0.75, 0.8)
+        got = _match(preds, gt, ts, inclusive)
+        assert got == per_threshold_match(preds, gt, ts, inclusive)
+        assert [m.tp for m in got] == ([2, 2, 2, 2, 1] if inclusive else [2, 2, 2, 1, 1])
+
+    def test_nan_overlaps_never_count(self):
+        # in the sorted overlaps a nan misleads bisect, which then finds no overlap above 0.25
+        huge = Box(0.0, 0.0, 1e300, 1e300)
+        gt = [huge, Box(0, 0, 4, 4)]
+        preds = [det(Box(0, 2, 4, 6), 0.9), det(huge, 0.9)]  # overlaps (0, 1/3) and (nan, 0)
+        ts = (0.25, 0.5, 0.75)
+        for inclusive in (False, True):
+            got = _match(preds, gt, ts, inclusive)
+            assert got == per_threshold_match(preds, gt, ts, inclusive)
+            assert [m.matched_pairs for m in got] == [((0, 1, 1 / 3),), (), ()]
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (0, 2)])
+    def test_empty_sides(self, n, m):
+        preds = [det(Box(0, 0, 4, 4), 0.5)] * n
+        gt = [Box(0, 0, 4, 4)] * m
+        assert _match(preds, gt, DEFAULT_THRESHOLDS, False) == [MatchResult(0, n, m, ())] * 8
 
 
 class TestAveragePrecision:

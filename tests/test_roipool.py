@@ -63,6 +63,21 @@ class TestErrors:
         with pytest.raises(ValueError):
             roi_max_pool(fm, Box(0, 0, 3, 3), 1, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_only_cells_the_roi_reads_are_checked(self, bad):
+        fm = np.stack([ramp(6, 6), -ramp(6, 6)])
+        roi = Box(1.5, 2.2, 3.5, 3.8)  # snaps outward to rows 2-3, columns 1-3
+        expected = roi_max_pool(fm, roi, 2, 2)
+        for y, x in ((2, 1), (3, 3), (3, 2)):  # inside, the last two reached only by the snap
+            inside = fm.copy()
+            inside[1, y, x] = bad
+            with pytest.raises(ValueError, match="finite"):
+                roi_max_pool(inside, roi, 2, 2)
+        for y, x in ((1, 1), (4, 2), (2, 0), (3, 4), (0, 0)):  # just outside, and far
+            outside = fm.copy()
+            outside[:, y, x] = bad
+            assert roi_max_pool(outside, roi, 2, 2).tolist() == expected.tolist()
+
 
 def random_roi(rng, w, h):
     x0, x1 = sorted(rng.uniform(-2, w + 2) for _ in range(2))
