@@ -16,6 +16,7 @@ parameters.
 
 import argparse
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -130,7 +131,18 @@ def _floats_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected a comma-separated float list, got {text!r}") from None
 
 
+def _check_sampling_flags(args) -> None:
+    if not 0.0 <= args.hflip_prob <= 1.0:
+        raise ValueError(f"--hflip-prob must lie in [0, 1]: {args.hflip_prob!r}")
+    for flag, value in (("--max-rotate", args.max_rotate), ("--max-shift", args.max_shift)):
+        # uniform(-r, r) scales by the width 2r, which must not overflow either
+        if not math.isfinite(2.0 * value):
+            raise ValueError(f"{flag} must be a finite range: {value!r}")
+
+
 def _cmd_preprocess(args) -> int:
+    if args.sample_augment:
+        _check_sampling_flags(args)
     img = read_pgm(args.input)
     if args.clahe:
         tiles_x, tiles_y = args.tiles

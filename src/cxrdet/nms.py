@@ -68,7 +68,7 @@ class NmsConfig:
             raise ValueError(f"iou_threshold must lie in (0, 1): {self.iou_threshold!r}")
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive: {self.sigma!r}")
-        if self.score_cutoff < 0.0:
+        if not self.score_cutoff >= 0.0:
             raise ValueError(f"score_cutoff must be non-negative: {self.score_cutoff!r}")
 
     def _decay(self, rivals: np.ndarray, overlap: np.ndarray):

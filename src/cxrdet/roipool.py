@@ -19,6 +19,11 @@ def roi_max_pool(feature_map, roi: Box, out_w: int, out_h: int) -> np.ndarray:
     never empty while W >= 1; each bin value is the per-channel max of its
     cells.
 
+    The snapped region is copied once, cells first, as (width, height) or
+    (width, height, channels), so every gather moves whole channel vectors;
+    max is separable, so rows pool into strips and strips into bins. The
+    result is a new C-contiguous array of the map's dtype.
+
     Raises ValueError for a roi entirely outside the map or one that snaps
     to zero cells, for a non-finite cell the roi reads (cells outside the
     snapped roi are never read, so they are not checked), and for
@@ -43,25 +48,36 @@ def roi_max_pool(feature_map, roi: Box, out_w: int, out_h: int) -> np.ndarray:
     roi_h = cy1 - cy0
     if roi_w == 0 or roi_h == 0:
         raise ValueError(f"roi {roi} covers no cells after snapping")
-    if not np.isfinite(fm[..., cy0:cy1, cx0:cx1]).all():
+    sub = fm[..., cy0:cy1, cx0:cx1]
+    if not np.isfinite(sub).all():
         raise ValueError("feature map values the roi reads must be finite")
 
-    # Max is separable: pool rows into strips, then strips into bins. Each
-    # pass gathers every bin's d-th cell at once, repeating a bin's last cell
-    # once the bin runs out; max is idempotent, so a repeat changes nothing.
-    j = np.arange(out_h)
-    r0 = cy0 + (j * roi_h) // out_h
-    r1 = cy0 - ((-(j + 1) * roi_h) // out_h)  # integer ceil
-    i = np.arange(out_w)
-    c0 = (i * roi_w) // out_w
-    c1 = -((-(i + 1) * roi_w) // out_w)
     # the result comes before the scratch arrays: kept above them, it fragments the heap
     out = np.empty(fm.shape[:-2] + (out_h, out_w), dtype=fm.dtype)
-    region = fm[..., cx0:cx1]
-    strips = region[..., r0, :]
-    for d in range(1, int((r1 - r0).max())):
-        np.maximum(strips, region[..., np.minimum(r0 + d, r1 - 1), :], out=strips)
-    np.take(strips, c0, axis=-1, out=out)
-    for d in range(1, int((c1 - c0).max())):
-        np.maximum(out, np.take(strips, np.minimum(c0 + d, c1 - 1), axis=-1), out=out)
+    # Cells first: (w, h[, C]) puts each cell's channel vector in one run, so
+    # every gather below copies whole runs. Max is separable: pool rows into
+    # strips, then strips into bins, each pass folding every bin's d-th cell
+    # at once. np.maximum returns its second argument on a tie of 0.0 and
+    # -0.0, so this order (rows, then columns, each in cell order) fixes the
+    # sign of a tied zero.
+    cells = np.ascontiguousarray(sub.T)
+    row_taps = _bin_taps(roi_h, out_h)
+    strips = cells[:, row_taps[0]]
+    for taps in row_taps[1:]:
+        np.maximum(strips, cells[:, taps], out=strips)
+    col_taps = _bin_taps(roi_w, out_w)
+    bins = strips[col_taps[0]]
+    for taps in col_taps[1:]:
+        np.maximum(bins, strips[taps], out=bins)
+    out.T[...] = bins
     return out
+
+
+def _bin_taps(cells: int, bins: int) -> list[list[int]]:
+    """Every bin's d-th cell, for each d: bin k spans cells
+    [floor(k*cells/bins), ceil((k+1)*cells/bins)) and repeats its last cell
+    once it runs out; max is idempotent, so a repeat changes nothing."""
+    starts = [k * cells // bins for k in range(bins)]
+    stops = [-(-(k + 1) * cells // bins) for k in range(bins)]
+    span = max(b - a for a, b in zip(starts, stops))
+    return [[min(a + d, b - 1) for a, b in zip(starts, stops)] for d in range(span)]

@@ -14,7 +14,9 @@ blend-axis helpers, which banding did not change, so they check the
 per-pixel arithmetic alone. The metric's matcher once walked every
 threshold in full and the predictions reader once checked every token on
 its own; both are kept as references for the banded matcher and the
-bulk-parsing reader.
+bulk-parsing reader. RoI pooling once gathered along the map's last axis;
+that form is the byte-for-byte reference for the cells-first one, down to
+the sign of a tied zero.
 """
 
 import itertools
@@ -205,6 +207,33 @@ def per_bin_max_pool(fm, roi, out_w, out_h):
             c0 = cx0 + (i * roi_w) // out_w
             c1 = cx0 + -((-(i + 1) * roi_w) // out_w)
             out[..., j, i] = fm[..., r0:r1, c0:c1].max(axis=(-2, -1))
+    return out
+
+
+def separable_take_max_pool(fm, roi, out_w, out_h):
+    """RoI max pooling as two passes over the map's own layout: rows into
+    strips, then strips into bins by ``np.take`` along the last axis. Both
+    passes fold each bin's cells in order with ``np.maximum``, repeating a
+    bin's last cell, so the fold order alone decides which of a tied 0.0
+    and -0.0 a bin keeps; ``roi`` is a corner tuple covering cells."""
+    height, width = fm.shape[-2], fm.shape[-1]
+    cx0, cy0 = math.floor(max(roi[0], 0.0)), math.floor(max(roi[1], 0.0))
+    cx1, cy1 = math.ceil(min(roi[2], width)), math.ceil(min(roi[3], height))
+    roi_w, roi_h = cx1 - cx0, cy1 - cy0
+    j = np.arange(out_h)
+    r0 = cy0 + (j * roi_h) // out_h
+    r1 = cy0 - ((-(j + 1) * roi_h) // out_h)
+    i = np.arange(out_w)
+    c0 = (i * roi_w) // out_w
+    c1 = -((-(i + 1) * roi_w) // out_w)
+    out = np.empty(fm.shape[:-2] + (out_h, out_w), dtype=fm.dtype)
+    region = fm[..., cx0:cx1]
+    strips = region[..., r0, :]
+    for d in range(1, int((r1 - r0).max())):
+        np.maximum(strips, region[..., np.minimum(r0 + d, r1 - 1), :], out=strips)
+    np.take(strips, c0, axis=-1, out=out)
+    for d in range(1, int((c1 - c0).max())):
+        np.maximum(out, np.take(strips, np.minimum(c0 + d, c1 - 1), axis=-1), out=out)
     return out
 
 

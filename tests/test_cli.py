@@ -220,6 +220,14 @@ class TestNms:
         preds.write_text(EMPTY_PREDS)
         assert main(["nms", str(preds), "--iou", "1.5"]) == 2
 
+    @pytest.mark.parametrize("mode", ["hard", "soft-linear", "soft-gaussian"])
+    def test_nan_score_cut_exits_2(self, tmp_path, capsys, mode):
+        preds, out = tmp_path / "preds.csv", tmp_path / "out.csv"
+        preds.write_text(THREE_BOX_PREDS)
+        assert main(["nms", str(preds), "--out", str(out), "--mode", mode, "--score-cut", "nan"]) == 2
+        assert "score_cutoff must be non-negative: nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rows_longer_than_the_csv_field_limit(self, tmp_path, capsys):
         # 2 000 full-precision detections make a row far above csv's 131 072-character
         # default; they overlap each other heavily, so hard NMS keeps one in a single pass
@@ -324,6 +332,40 @@ class TestPreprocess:
                          "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--hflip-prob", "nan"),
+            ("--hflip-prob", "2"),
+            ("--hflip-prob", "-1"),
+            ("--max-rotate", "inf"),
+            ("--max-rotate", "nan"),
+            ("--max-rotate", "1e308"),  # finite, but the sampling width 2e308 is not
+            ("--max-shift", "-inf"),
+            ("--max-shift", "nan"),
+        ],
+    )
+    def test_bad_sampling_flag_exits_2_and_names_it(self, tmp_path, capsys, flag, value):
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(src, np.zeros((8, 8), dtype=np.uint8))
+        argv = ["preprocess", str(src), "--out", str(out), f"{flag}={value}"]
+        assert main(argv + ["--sample-augment"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert not out.exists()
+        assert main(argv) == 0  # the sampling flags are read only with --sample-augment
+
+    def test_sampling_flags_at_their_limits(self, tmp_path):
+        img = np.zeros((6, 8), dtype=np.uint8)
+        img[:, 0] = 9
+        src = tmp_path / "in.pgm"
+        write_pgm(src, img)
+        fixed = ["--max-rotate", "0", "--max-shift=-0"]
+        for prob, want in (("0", img), ("1", np.fliplr(img))):
+            out = tmp_path / f"p{prob}.pgm"
+            assert main(["preprocess", str(src), "--out", str(out), "--sample-augment",
+                         "--hflip-prob", prob, *fixed]) == 0
+            assert (read_pgm(out) == want).all()
 
     def test_hflip_only(self, tmp_path):
         img = np.zeros((4, 6), dtype=np.uint8)

@@ -28,11 +28,16 @@ class TestConfig:
             {"iou_threshold": 1.0},
             {"sigma": 0.0},
             {"score_cutoff": -0.1},
+            {"score_cutoff": float("nan")},
         ],
     )
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             NmsConfig(**kwargs)
+
+    def test_nan_score_cutoff_is_named(self):
+        with pytest.raises(ValueError, match=r"^score_cutoff must be non-negative: nan$"):
+            NmsConfig(score_cutoff=float("nan"))
 
 
 class TestExamples:
