@@ -218,8 +218,8 @@ def select_proposals(
     np.clip(clipped[:, 0::2], 0.0, image_w, out=clipped[:, 0::2])
     np.clip(clipped[:, 1::2], 0.0, image_h, out=clipped[:, 1::2])
     order = np.flatnonzero(~(clipped[:, 2:] - clipped[:, :2] < min_size).any(axis=1))  # width, height
-    order = order[np.argsort(-values[order], kind="stable")][:pre_top_n].tolist()
-    shortlist = [Detection(Box(*clipped[i].tolist()), scores[i]) for i in order]
+    order = order[np.argsort(-values[order], kind="stable")][:pre_top_n]
+    shortlist = [Detection(Box(*row), scores[i]) for i, row in zip(order.tolist(), clipped[order].tolist())]
     cfg = NmsConfig(mode=HARD, iou_threshold=nms_iou)
     # stop at post_top_n picks; a negative post_top_n still slices the full result
     kept = nms(shortlist, cfg, max_keep=post_top_n if post_top_n >= 0 else None)

@@ -7,6 +7,8 @@ is double precision.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -81,9 +83,14 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
+_CORNERS = attrgetter("x_min", "y_min", "x_max", "y_max")
+
+
 def corners(boxes) -> np.ndarray:
-    """Boxes as an (N, 4) float64 array of (x_min, y_min, x_max, y_max) rows."""
-    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=float).reshape(-1, 4)
+    """Boxes (any iterable) as an (N, 4) float64 array of (x_min, y_min,
+    x_max, y_max) rows, read in one pass; a coordinate too large for a float
+    raises OverflowError."""
+    return np.fromiter(chain.from_iterable(map(_CORNERS, boxes)), float).reshape(-1, 4)
 
 
 def box_columns(boxes: np.ndarray) -> np.ndarray:

@@ -247,8 +247,10 @@ def augment(img, boxes, spec: AugmentSpec):
     src_x_of_col, src_y_of_col = i11 * out_x, i21 * out_x
 
     # Bilinear taps at (y0 | y0 + 1, x0 | x0 + 1) of a film framed by two
-    # zero pixels: with x0 clipped to [-2, w] and y0 to [-2, h], a tap outside
-    # the film reads 0 and every weight keeps its unclipped value.
+    # zero pixels: with the sample point clipped to [-2, w] x [-2, h] before
+    # the cast, a tap outside the film reads 0, a point outside the frame reads
+    # only the frame's zeros whatever its weights, and a point far outside
+    # never reaches the int cast unbounded.
     stride = w + 4
     framed = np.zeros((h + 4, stride), dtype=np.uint8)
     framed[2:-2, 2:-2] = img
@@ -259,8 +261,10 @@ def augment(img, boxes, spec: AugmentSpec):
         rows = slice(r0, r0 + _BAND_ROWS)
         x_idx = src_x_of_col + i12 * out_y[rows, None]
         x_idx -= 0.5
+        np.clip(x_idx, -2.0, w, out=x_idx)
         y_idx = src_y_of_col + i22 * out_y[rows, None]
         y_idx -= 0.5
+        np.clip(y_idx, -2.0, h, out=y_idx)
         x0 = np.floor(x_idx).astype(int)
         y0 = np.floor(y_idx).astype(int)
         fx = x_idx - x0
@@ -268,10 +272,10 @@ def augment(img, boxes, spec: AugmentSpec):
         gx = 1.0 - fx
         gy = 1.0 - fy
         # flat index of each (y0, x0) tap in the framed film
-        at = np.clip(y0, -2, h, out=y0)
+        at = y0
         at += 2
         at *= stride
-        at += np.clip(x0, -2, w, out=x0)
+        at += x0
         at += 2
         # acc = gx*gy*v00 + fx*gy*v01 + gx*fy*v10 + fx*fy*v11, summed in that
         # order; the weights are formed in place as gx*fy, fx*fy and fx*gy

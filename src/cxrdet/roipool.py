@@ -1,4 +1,13 @@
-"""Max-pooling of rectangular regions of a feature map into a fixed grid."""
+"""Max-pooling of rectangular regions of a feature map into a fixed grid.
+
+Which cells each output bin folds depends only on the snapped extent and the
+grid size. A detector pools every proposal to one grid size over a map a few
+dozen cells wide, so these tap plans are built once per (cells, bins) pair
+and kept as read-only index arrays in a small bounded cache.
+"""
+
+import functools
+import math
 
 import numpy as np
 
@@ -22,7 +31,9 @@ def roi_max_pool(feature_map, roi: Box, out_w: int, out_h: int) -> np.ndarray:
     The snapped region is copied once, cells first, as (width, height) or
     (width, height, channels), so every gather moves whole channel vectors;
     max is separable, so rows pool into strips and strips into bins. The
-    result is a new C-contiguous array of the map's dtype.
+    finiteness check runs on that contiguous copy, which holds exactly the
+    cells the roi reads, before any gather. The result is a new C-contiguous
+    array of the map's dtype.
 
     Raises ValueError for a roi entirely outside the map or one that snaps
     to zero cells, for a non-finite cell the roi reads (cells outside the
@@ -42,16 +53,12 @@ def roi_max_pool(feature_map, roi: Box, out_w: int, out_h: int) -> np.ndarray:
     y1 = min(roi.y_max, float(height))
     if x0 > x1 or y0 > y1:
         raise ValueError(f"roi {roi} lies entirely outside the {width}x{height} map")
-    cx0, cx1 = int(np.floor(x0)), int(np.ceil(x1))
-    cy0, cy1 = int(np.floor(y0)), int(np.ceil(y1))
+    cx0, cx1 = math.floor(x0), math.ceil(x1)
+    cy0, cy1 = math.floor(y0), math.ceil(y1)
     roi_w = cx1 - cx0
     roi_h = cy1 - cy0
     if roi_w == 0 or roi_h == 0:
         raise ValueError(f"roi {roi} covers no cells after snapping")
-    sub = fm[..., cy0:cy1, cx0:cx1]
-    if not np.isfinite(sub).all():
-        raise ValueError("feature map values the roi reads must be finite")
-
     # the result comes before the scratch arrays: kept above them, it fragments the heap
     out = np.empty(fm.shape[:-2] + (out_h, out_w), dtype=fm.dtype)
     # Cells first: (w, h[, C]) puts each cell's channel vector in one run, so
@@ -60,12 +67,14 @@ def roi_max_pool(feature_map, roi: Box, out_w: int, out_h: int) -> np.ndarray:
     # at once. np.maximum returns its second argument on a tie of 0.0 and
     # -0.0, so this order (rows, then columns, each in cell order) fixes the
     # sign of a tied zero.
-    cells = np.ascontiguousarray(sub.T)
-    row_taps = _bin_taps(roi_h, out_h)
+    cells = np.ascontiguousarray(fm[..., cy0:cy1, cx0:cx1].T)
+    if not np.isfinite(cells).all():
+        raise ValueError("feature map values the roi reads must be finite")
+    row_taps = _taps(roi_h, out_h)
     strips = cells[:, row_taps[0]]
     for taps in row_taps[1:]:
         np.maximum(strips, cells[:, taps], out=strips)
-    col_taps = _bin_taps(roi_w, out_w)
+    col_taps = _taps(roi_w, out_w)
     bins = strips[col_taps[0]]
     for taps in col_taps[1:]:
         np.maximum(bins, strips[taps], out=bins)
@@ -73,11 +82,34 @@ def roi_max_pool(feature_map, roi: Box, out_w: int, out_h: int) -> np.ndarray:
     return out
 
 
-def _bin_taps(cells: int, bins: int) -> list[list[int]]:
-    """Every bin's d-th cell, for each d: bin k spans cells
+# Plans for a roi or grid wider than this many cells are built afresh on
+# every call, so a huge output size leaves nothing behind. A bin spans at most
+# ceil(cells/bins) + 1 cells, so a cached plan holds at most
+# _MAX_CACHED_SIDE + 1 arrays and 3 * _MAX_CACHED_SIDE indices in all.
+_MAX_CACHED_SIDE = 128
+_PLAN_CACHE_SIZE = 64
+
+
+def _taps(cells: int, bins: int) -> tuple[np.ndarray, ...]:
+    """The tap plan of :func:`_build_bin_taps`, from the cache when it is small."""
+    if cells <= _MAX_CACHED_SIDE and bins <= _MAX_CACHED_SIDE:
+        return _bin_taps(cells, bins)
+    return _build_bin_taps(cells, bins)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _bin_taps(cells: int, bins: int) -> tuple[np.ndarray, ...]:
+    taps = _build_bin_taps(cells, bins)
+    for t in taps:
+        t.flags.writeable = False  # shared by every later call
+    return taps
+
+
+def _build_bin_taps(cells: int, bins: int) -> tuple[np.ndarray, ...]:
+    """Every bin's d-th cell, for each d, as an intp array: bin k spans cells
     [floor(k*cells/bins), ceil((k+1)*cells/bins)) and repeats its last cell
     once it runs out; max is idempotent, so a repeat changes nothing."""
-    starts = [k * cells // bins for k in range(bins)]
-    stops = [-(-(k + 1) * cells // bins) for k in range(bins)]
-    span = max(b - a for a, b in zip(starts, stops))
-    return [[min(a + d, b - 1) for a, b in zip(starts, stops)] for d in range(span)]
+    k = np.arange(bins, dtype=np.intp)
+    starts = k * cells // bins
+    stops = -(-(k + 1) * cells // bins)
+    return tuple(np.minimum(starts + d, stops - 1) for d in range(int((stops - starts).max())))

@@ -16,7 +16,9 @@ threshold in full and the predictions reader once checked every token on
 its own; both are kept as references for the banded matcher and the
 bulk-parsing reader. RoI pooling once gathered along the map's last axis;
 that form is the byte-for-byte reference for the cells-first one, down to
-the sign of a tied zero.
+the sign of a tied zero. Pooling once rebuilt its bin taps as Python lists
+on every call, and ``corners`` once built a tuple per box; both are kept as
+references for the cached tap plans and the one-pass ``corners``.
 """
 
 import itertools
@@ -235,6 +237,20 @@ def separable_take_max_pool(fm, roi, out_w, out_h):
     for d in range(1, int((c1 - c0).max())):
         np.maximum(out, np.take(strips, np.minimum(c0 + d, c1 - 1), axis=-1), out=out)
     return out
+
+
+def list_bin_taps(cells, bins):
+    """Every bin's d-th cell, for each d, as lists: bin k spans cells
+    [floor(k*cells/bins), ceil((k+1)*cells/bins)) and repeats its last cell."""
+    starts = [k * cells // bins for k in range(bins)]
+    stops = [-(-(k + 1) * cells // bins) for k in range(bins)]
+    span = max(b - a for a, b in zip(starts, stops))
+    return [[min(a + d, b - 1) for a, b in zip(starts, stops)] for d in range(span)]
+
+
+def tuple_corners(boxes):
+    """Boxes as an (N, 4) float64 array, one corner tuple per box."""
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=float).reshape(-1, 4)
 
 
 def _round_to_u8(values):

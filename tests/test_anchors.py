@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from cxrdet import (
     AnchorSpec,
     Box,
     BoxDelta,
+    NmsConfig,
     decode_box,
     encode_box,
     generate_anchors,
@@ -22,7 +24,7 @@ from cxrdet import (
     select_proposals,
 )
 from cxrdet import anchors as anchors_module
-from helpers import random_positive_box
+from helpers import random_detections, random_positive_box
 from oracles import brute_force_hard_nms, property_decode_box, scalar_label_anchors
 
 side = st.integers(min_value=0, max_value=10)
@@ -331,3 +333,49 @@ class TestSelectProposals:
         # on a box the size filter drops
         with pytest.raises(ValueError, match="score"):
             select_proposals([*boxes, Box(0, 0, 0.5, 10)], [0.9, 0.8, 0.7, bad], 100, 100)
+
+
+def as_scalars(box, kind):
+    """``box`` with every coordinate a numpy scalar of type ``kind``."""
+    return Box(*(kind(v) for v in (box.x_min, box.y_min, box.x_max, box.y_max)))
+
+
+class TestCornersPath:
+    """Labelling, proposals and NMS read their boxes through ``corners``; numpy
+    scalar coordinates and generator inputs must take that path unchanged."""
+
+    @pytest.mark.parametrize("kind", [np.float64, np.float32])
+    def test_label_anchors_from_numpy_scalars_equal_scalar_loop(self, kind):
+        rng = random.Random(2031)
+        for _ in range(100):
+            anchors = [as_scalars(random_positive_box(rng), kind) for _ in range(rng.randint(1, 40))]
+            gt = [random_positive_box(rng) for _ in range(rng.randint(0, 4))]
+            neg_iou, pos_iou = sorted(rng.choice((0.0, 0.3, 0.5, 0.7, 1.0)) for _ in range(2))
+            labels = label_anchors((a for a in anchors), iter(gt), pos_iou=pos_iou, neg_iou=neg_iou)
+            assert [(label.kind, label.gt_index) for label in labels] == scalar_label_anchors(
+                [(float(a.x_min), float(a.y_min), float(a.x_max), float(a.y_max)) for a in anchors],
+                [(g.x_min, g.y_min, g.x_max, g.y_max) for g in gt],
+                pos_iou,
+                neg_iou,
+            )
+
+    @pytest.mark.parametrize("kind", [np.float64, np.float32])
+    def test_select_proposals_from_numpy_scalars_equal_brute_force(self, kind):
+        rng = random.Random(2033)
+        for _ in range(100):
+            boxes = [as_scalars(random_positive_box(rng, hi=90, min_side=2.0), kind) for _ in range(rng.randint(0, 30))]
+            scores = [round(rng.random(), 2) for _ in boxes]
+            props = select_proposals(iter(boxes), iter(scores), 100, 100, nms_iou=0.5, post_top_n=1000)
+            kept = brute_force_hard_nms([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], scores, 0.5)
+            assert [(p.box, p.score) for p in props] == [(boxes[i], scores[i]) for i in kept]
+            assert all(type(v) is float for p in props for v in (p.box.x_min, p.box.y_max))
+
+    def test_nms_of_a_generator_equals_brute_force(self):
+        rng = random.Random(2035)
+        for _ in range(300):
+            dets = random_detections(rng, rng.randint(0, 50))
+            threshold = rng.choice([0.3, 0.5, 0.7])
+            kept = brute_force_hard_nms(
+                [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in dets], [d.score for d in dets], threshold
+            )
+            assert nms((d for d in dets), NmsConfig(iou_threshold=threshold)) == [dets[i] for i in kept]

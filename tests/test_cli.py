@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,21 @@ class TestPreprocess:
         write_pgm(src, img)
         assert main(["preprocess", str(src), "--hflip", "--out", str(out)]) == 0
         assert (read_pgm(out) == np.fliplr(img)).all()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--shift", "1e300,0"], ["--shift=0,-1e300", "--rotate", "30"]]
+        + [["--sample-augment", "--max-shift", "1e300", "--seed", seed] for seed in ("1", "2", "3")],
+    )
+    def test_far_shift_writes_a_black_film_without_warnings(self, tmp_path, capsys, flags):
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(src, np.full((12, 20), 200, dtype=np.uint8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["preprocess", str(src), *flags, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        got = read_pgm(out)
+        assert got.shape == (12, 20) and not got.any()
 
 
 # bytes that stress decoding and CSV parsing: NUL, invalid UTF-8, a lone

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cxrdet import Box, area, intersection_area, iou
 from cxrdet.geometry import corners, iou_matrix
-from oracles import raster_iou
+from oracles import raster_iou, tuple_corners
 
 coord = st.integers(min_value=0, max_value=64)
 
@@ -178,3 +178,40 @@ class TestIouMatrix:
         assert got[0, 3] == 0.25  # nested
         assert math.isnan(got[4, 4]) and math.isnan(iou(big, big))  # inf - inf, as in the scalar form
         assert corners([]).shape == (0, 4)
+
+
+# coordinate types a caller may hand Box: numpy scalars widen exactly to float64
+as_type = st.sampled_from((float, np.float64, np.float32, np.float16))
+
+
+def _fits(box, kind):
+    """Whether ``box`` keeps finite corners once cast to ``kind`` (rounding keeps their order)."""
+    with np.errstate(over="ignore"):
+        return all(math.isfinite(kind(v)) for v in (box.x_min, box.y_min, box.x_max, box.y_max))
+
+
+class TestCorners:
+    @given(box_batches(), as_type)
+    def test_equals_the_tuple_form(self, boxes, kind):
+        boxes = [Box(*(kind(v) for v in (b.x_min, b.y_min, b.x_max, b.y_max))) for b in boxes if _fits(b, kind)]
+        want = tuple_corners(boxes)
+        for got in (corners(boxes), corners(iter(boxes)), corners(b for b in boxes)):
+            assert got.dtype == np.float64 and got.shape == (len(boxes), 4)
+            assert got.tobytes() == want.tobytes()
+
+    def test_empty_input(self):
+        for empty in ([], (), iter([]), (b for b in [])):
+            got = corners(empty)
+            assert got.dtype == np.float64 and got.shape == (0, 4)
+
+    def test_integer_coordinates(self):
+        boxes = [Box(0, 1, 2**53 + 1, 3), Box(-5, -4, 2**70, 7)]
+        assert corners(boxes).tobytes() == tuple_corners(boxes).tobytes()
+
+    def test_int_too_large_for_a_float_overflows(self):
+        box = Box(0, 0, 10**400, 1)  # Box compares it exactly and accepts it
+        for build in (corners, tuple_corners):
+            with pytest.raises(OverflowError):
+                build([Box(0, 0, 1, 1), box])
+            with pytest.raises(OverflowError):
+                build(b for b in [box])

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,38 @@ def test_augment_equals_whole_image_sampler(seed, h, w, rotation, shift_x, shift
     spec = AugmentSpec(rotation, shift_x * w, shift_y * h, hflip)
     got, _ = augment(img, [], spec)
     assert got.tobytes() == whole_image_augment(img, spec).tobytes()
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    HEIGHTS,
+    ODD_WIDTHS,
+    st.floats(-360.0, 360.0),
+    st.floats(-1e18, 1e18),
+    st.floats(-1e18, 1e18),
+    st.booleans(),
+)
+def test_augment_far_shifts_equal_whole_image_sampler(seed, h, w, rotation, shift_x, shift_y, hflip):
+    # the whole-image form casts sample points unbounded, which int64 holds up to about 9.2e18
+    img = film(seed, h, w)
+    spec = AugmentSpec(rotation, shift_x, shift_y, hflip)
+    got, _ = augment(img, [], spec)
+    assert got.tobytes() == whole_image_augment(img, spec).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rotation, shift_x, shift_y",
+    [(0.0, 1e300, 0.0), (0.0, 0.0, -1e300), (33.0, 1e308, -1e308), (-90.0, 1.7e308, 1.7e308), (0.0, 1e19, 0.0)],
+)
+def test_augment_far_out_of_image_reads_zero_without_warnings(rotation, shift_x, shift_y):
+    img = film(5, 20, 33)
+    boxes = [Box(2, 3, 9, 11)]
+    for hflip in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, out_boxes = augment(img, boxes, AugmentSpec(rotation, shift_x, shift_y, hflip))
+        assert out.shape == img.shape and not out.any()
+        assert out_boxes == []
 
 
 @given(

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cxrdet import Box, roi_max_pool
-from oracles import per_bin_max_pool, separable_take_max_pool
+from cxrdet.roipool import _MAX_CACHED_SIDE, _PLAN_CACHE_SIZE, _bin_taps, _taps
+from oracles import list_bin_taps, per_bin_max_pool, separable_take_max_pool
 
 
 def ramp(h, w):
@@ -272,3 +274,79 @@ def test_tied_zero_signs_match_separable_take_form(kind):
         if x1 > x0 and y1 > y0:
             roi = Box(x0, y0, x1, y1)
             assert_matches_separable_take_form(fm, roi, rng.randint(1, 5), rng.randint(1, 5))
+
+
+class TestTapPlans:
+    @given(st.integers(1, 3 * _MAX_CACHED_SIDE), st.integers(1, 3 * _MAX_CACHED_SIDE))
+    def test_equal_the_list_built_taps(self, cells, bins):
+        want = list_bin_taps(cells, bins)
+        for plan in (_taps(cells, bins), _taps(cells, bins)):  # built, then cached when small
+            assert all(t.dtype == np.intp for t in plan)
+            assert [t.tolist() for t in plan] == want
+
+    def test_cached_arrays_are_read_only(self):
+        plan = _bin_taps(9, 7)
+        assert _taps(9, 7) is plan
+        for t in plan:
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[0] = 0
+
+    def test_cache_stays_within_its_bound(self):
+        _bin_taps.cache_clear()
+        for cells in range(1, 41):
+            for bins in range(1, 11):
+                _taps(cells, bins)
+                assert _bin_taps.cache_info().currsize <= _PLAN_CACHE_SIZE
+        assert _bin_taps.cache_info().currsize == _PLAN_CACHE_SIZE
+
+    def test_huge_grid_leaves_no_plan_behind(self):
+        _bin_taps.cache_clear()
+        fm = ramp(3, 4)
+        out = roi_max_pool(fm, Box(0, 0, 4, 3), 20_000, 1)
+        assert out.shape == (1, 20_000)
+        assert out.tobytes() == per_bin_max_pool(fm, (0, 0, 4, 3), 20_000, 1).tobytes()
+        # only the row plan (3 cells into 1 bin) is cached; the column plan is too wide
+        assert _bin_taps.cache_info().currsize == 1
+        _taps(3, 1)
+        assert _bin_taps.cache_info().hits == 1
+
+    def test_retained_memory_is_bounded(self):
+        # fill the cache twice over with the largest plans it may keep, and
+        # show what stays behind is bounded (the worst case is about 180 kB)
+        _bin_taps.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for bins in range(2 * _PLAN_CACHE_SIZE, 0, -1):  # the largest plans come last
+                _taps(_MAX_CACHED_SIDE, bins)
+                _taps(3 * _MAX_CACHED_SIDE, bins)  # never cached
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            _bin_taps.cache_clear()
+        assert _bin_taps.cache_info().currsize == 0
+        assert retained < 400_000
+
+
+# A detector-sized map: every roi below pools at the grid size the detector
+# uses, so all but the first few calls run on cached plans.
+DETECTOR_MAP = np.random.default_rng(13).standard_normal((256, 32, 32))
+
+
+@pytest.mark.parametrize("kind", ["float", "signed-zeros", "zeros-and-minus-one"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("channels", [None, 256])
+def test_repeated_plans_match_separable_take_form(kind, layout, channels):
+    rng = random.Random(113)
+    gen = np.random.default_rng(113)
+    shape = (32, 32) if channels is None else (channels, 32, 32)
+    if kind == "float":
+        values = DETECTOR_MAP[0] if channels is None else DETECTOR_MAP
+    else:
+        values = signed_zero_map(gen, shape, kind)
+    fm = laid_out(values, layout)
+    for _ in range(40):
+        x0, y0 = rng.uniform(-2, 30), rng.uniform(-2, 30)
+        roi = Box(x0, y0, x0 + rng.uniform(0.5, 12), y0 + rng.uniform(0.5, 12))
+        assert_matches_separable_take_form(fm, roi, 7, 7)
