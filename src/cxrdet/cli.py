@@ -34,6 +34,7 @@ from .formats import (
 )
 from .metrics import (
     DEFAULT_THRESHOLDS,
+    MAX_THRESHOLDS,
     ConfusionCounts,
     confusion_metrics,
     kfold_split,
@@ -105,9 +106,10 @@ def _cmd_nms(args) -> int:
         sigma=args.sigma,
         score_cutoff=args.score_cut,
     )
-    grouped = group_predictions(records)
-    order = dict.fromkeys(record.patient_id for record in records)
-    out_records = [PredRecord(pid, tuple(nms(grouped[pid], config))) for pid in order]
+    out_records = [
+        PredRecord(pid, tuple(nms(dets, config)))
+        for pid, dets in group_predictions(records).items()
+    ]
     _write_text(args.out, write_predictions(out_records))
     return 0
 
@@ -202,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt", help="ground-truth CSV")
     p.add_argument("pred", help="predictions CSV")
     p.add_argument("--thresholds", type=_thresholds_arg, default=DEFAULT_THRESHOLDS,
-                   help="IoU thresholds, lo:hi:step or a comma list (default 0.4:0.75:0.05)")
+                   help="IoU thresholds, lo:hi:step or a comma list (default 0.4:0.75:0.05); "
+                        f"a range must be finite and hold at most {MAX_THRESHOLDS}")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility: must be at least 1, has no effect")

@@ -36,6 +36,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import cycle
 
 from .geometry import Box
 from .nms import Detection
@@ -61,6 +62,7 @@ __all__ = [
 GT_COLUMNS = ("patientId", "x", "y", "width", "height", "Target")
 PRED_COLUMNS = ("patientId", "PredictionString")
 LABEL_COLUMNS = ("patientId", "truth", "pred")
+_PRED_FIELDS = ("confidence", "x", "y", "w", "h")
 
 
 class FormatError(ValueError):
@@ -248,37 +250,20 @@ def read_predictions(text: str) -> list[PredRecord]:
         except ValueError:
             values = None
         if values is None or not all(map(math.isfinite, values)):
-            # the token-by-token reader finds the first bad token and words its error
-            records.append(PredRecord(pid, _parse_detections(tokens, lineno)))
-            continue
+            # lazy, so a bad token raises only after every check before it in row order
+            values = (_parse_real(tok, lineno, what) for tok, what in zip(tokens, cycle(_PRED_FIELDS)))
         detections = []
-        quintuples = iter(values)
-        for conf, x, y, w, h in zip(*[quintuples] * 5):
+        reals = iter(values)
+        for conf in reals:
             if not 0.0 <= conf <= 1.0:
                 raise FormatError(f"line {lineno}: confidence {conf!r} outside [0, 1]")
+            # pulled after conf is checked; zip(*[reals] * 5) would parse the box first
+            x, y, w, h = next(reals), next(reals), next(reals), next(reals)
             if w < 0 or h < 0:
                 raise FormatError(f"line {lineno}: negative box extent {w if w < 0 else h}")
             detections.append(Detection(Box(x, y, x + w, y + h), conf))
         records.append(PredRecord(pid, tuple(detections)))
     return records
-
-
-def _parse_detections(tokens, lineno: int) -> tuple[Detection, ...]:
-    """A prediction string's quintuples read one token at a time, checking
-    each as it is read."""
-    detections = []
-    for k in range(0, len(tokens), 5):
-        conf = _parse_real(tokens[k], lineno, "confidence")
-        if not 0.0 <= conf <= 1.0:
-            raise FormatError(f"line {lineno}: confidence {conf!r} outside [0, 1]")
-        x, y, w, h = (
-            _parse_real(tok, lineno, name)
-            for tok, name in zip(tokens[k + 1 : k + 5], "xywh")
-        )
-        if w < 0 or h < 0:
-            raise FormatError(f"line {lineno}: negative box extent {w if w < 0 else h}")
-        detections.append(Detection(Box.from_xywh(x, y, w, h), conf))
-    return tuple(detections)
 
 
 def write_predictions(records) -> str:

@@ -27,12 +27,11 @@ class Box:
 
     def __post_init__(self):
         if -math.inf < self.x_min <= self.x_max < math.inf and -math.inf < self.y_min <= self.y_max < math.inf:
-            return  # the common case in one pass; nan fails it and is reported below
+            return  # the common case in one pass; else a value is not finite or an extent is negative
         for v in (self.x_min, self.y_min, self.x_max, self.y_max):
             if not math.isfinite(v):
                 raise ValueError(f"box coordinates must be finite: {self!r}")
-        if self.x_max < self.x_min or self.y_max < self.y_min:
-            raise ValueError(f"box extents must be non-negative: {self!r}")
+        raise ValueError(f"box extents must be non-negative: {self!r}")
 
     @classmethod
     def from_xywh(cls, x, y, w, h) -> "Box":

@@ -41,21 +41,23 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLDS = (0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75)
+MAX_THRESHOLDS = 1000  # the most a lo:hi:step range may hold
 
 
 def threshold_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
-    """Thresholds lo, lo+step, ... up to hi inclusive (tolerant of float drift)."""
+    """Thresholds lo, lo+step, ... up to hi inclusive (tolerant of float drift),
+    at most MAX_THRESHOLDS of them."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"threshold range must be finite: {lo!r}:{hi!r}:{step!r}")
     if step <= 0:
         raise ValueError(f"step must be positive: {step!r}")
     values = []
-    k = 0
-    while True:
+    for k in range(MAX_THRESHOLDS + 1):
         v = round(lo + k * step, 10)
         if v > hi + 1e-9:
-            break
+            return validate_thresholds(values)
         values.append(v)
-        k += 1
-    return validate_thresholds(values)
+    raise ValueError(f"threshold range {lo!r}:{hi!r}:{step!r} holds more than {MAX_THRESHOLDS} thresholds")
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class Detection:
     class_id: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
+        if not 0.0 <= self.score <= 1.0:  # nan and the infinities fail it too
             raise ValueError(f"detection score must be in [0, 1]: {self.score!r}")
 
 

@@ -330,8 +330,10 @@ def decode_pgm(data: bytes) -> np.ndarray:
         raise ValueError(f"PGM dimensions must be positive, got {w}x{h}")
     if not 1 <= maxval <= 255:
         raise ValueError(f"only 8-bit PGM supported, got maxval {maxval}")
-    pos += 1  # single whitespace byte separates header from raster
-    raster = data[pos:]
+    # a single whitespace byte separates header from raster
+    if pos < len(data) and data[pos] not in b" \t\r\n":
+        raise ValueError(f"PGM header must end in one whitespace byte, got {data[pos:pos + 1]!r}")
+    raster = data[pos + 1 :]
     if len(raster) != w * h:
         raise ValueError(f"expected {w * h} raster bytes, got {len(raster)}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cxrdet
 from cxrdet import (
     DEFAULT_THRESHOLDS,
     Box,
@@ -108,6 +112,20 @@ class TestScore:
         with pytest.raises(SystemExit) as exc:
             main(["score", "a", "b", "--thresholds", "0.9:0.1:0.1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("spec", ["0.4:nan:0.05", "0.4:inf:0.05", "0.4:0.75:1e-8"])
+    def test_unbounded_threshold_range_exits_2_at_once(self, tmp_path, spec):
+        # a fresh process, so a range that never ends fails the timeout, not the suite
+        gt, preds = tmp_path / "gt.csv", tmp_path / "preds.csv"
+        gt.write_text(GT_TEXT)
+        preds.write_text(PERFECT_PREDS)
+        src = os.path.dirname(os.path.dirname(cxrdet.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "cxrdet.cli", "score", str(gt), str(preds), "--thresholds", spec],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=5,
+        )
+        assert done.returncode == 2
+        assert "threshold range" in done.stderr
 
 
 def leaderboard(seed, images=80):
@@ -215,6 +233,16 @@ class TestNms:
         scores = [float(tokens[0]), float(tokens[5])]
         assert scores[0] == 0.9
         assert scores[1] == pytest.approx(0.8 * np.exp(-2.0), abs=1e-12)
+
+    def test_repeated_patient_rows_merge_in_first_appearance_order(self, tmp_path):
+        preds, out = tmp_path / "preds.csv", tmp_path / "out.csv"
+        preds.write_text("patientId,PredictionString\np1,0.9 0 0 10 10\np2,0.5 1 1 2 2\np1,0.7 20 20 10 10\n")
+        assert main(["nms", str(preds), "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "patientId,PredictionString\n"
+            "p1,0.9 0.0 0.0 10.0 10.0 0.7 20.0 20.0 10.0 10.0\n"
+            "p2,0.5 1.0 1.0 2.0 2.0\n"
+        )
 
     def test_bad_mode_parameter_exits_2(self, tmp_path, capsys):
         preds = tmp_path / "preds.csv"

@@ -168,8 +168,9 @@ def prediction_texts(draw):
 
 
 class TestBulkParsedPredictions:
-    """Rows are parsed in one pass and only re-read token by token when a
-    token fails; records and every error must equal the token-by-token reader's."""
+    """Rows are parsed in one pass, and a row with a failing token is read
+    token by token by the same loop; records and every error must equal the
+    token-by-token reader's."""
 
     @given(prediction_texts())
     def test_equals_the_token_by_token_reader(self, text):
@@ -186,6 +187,9 @@ class TestBulkParsedPredictions:
         ("0.5 1 2 3 4 nan 1 1 1 1 1.5 1 1 1 1", "line 3: confidence must be finite, got 'nan'"),
         ("0.5 1 2 3 4 0.5 1 1 inf 1 1.5 1 1 1 1", "line 3: w must be finite, got 'inf'"),
         ("0.5 1 2 3 4 0.5 1 1 1 1e309", "line 3: h must be finite, got '1e309'"),
+        ("x 1 2 3 4", "line 3: non-numeric confidence 'x'"),
+        ("0.5 1 2 3 y", "line 3: non-numeric h 'y'"),
+        ("0.5 1 2 3 4 inf 1 2 3 4", "line 3: confidence must be finite, got 'inf'"),
     ])
     def test_first_bad_token_in_row_order(self, row, message):
         text = f"patientId,PredictionString\np1,0.9 1 1 1 1\np2,{row}\n"

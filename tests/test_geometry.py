@@ -45,6 +45,18 @@ class TestBox:
         with pytest.raises(ValueError, match="must be finite"):
             Box(0, 0, bad, 1)
 
+    @given(st.lists(st.sampled_from((-1.0, 0.0, 2.5, math.nan, math.inf, -math.inf)), min_size=4, max_size=4))
+    def test_each_bad_box_names_its_fault(self, coords):
+        x0, y0, x1, y1 = coords
+        if not all(map(math.isfinite, coords)):
+            with pytest.raises(ValueError, match="must be finite"):
+                Box(*coords)
+        elif x1 < x0 or y1 < y0:
+            with pytest.raises(ValueError, match="must be non-negative"):
+                Box(*coords)
+        else:
+            assert Box(*coords).to_xywh() == (x0, y0, x1 - x0, y1 - y0)
+
     def test_xywh_round_trip(self):
         box = Box.from_xywh(10, 20, 30, 40)
         assert box == Box(10, 20, 40, 60)

@@ -23,7 +23,7 @@ from cxrdet import (
     threshold_range,
     total_loss,
 )
-from cxrdet.metrics import _match, validate_thresholds
+from cxrdet.metrics import MAX_THRESHOLDS, _match, validate_thresholds
 from helpers import random_positive_box
 from oracles import greedy_consistent_assignments, per_threshold_match
 
@@ -39,6 +39,20 @@ class TestThresholds:
     def test_range_builder(self):
         assert threshold_range(0.4, 0.75, 0.05) == DEFAULT_THRESHOLDS
         assert threshold_range(0.5, 0.5, 0.1) == (0.5,)
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        (0.4, math.nan, 0.05), (0.4, math.inf, 0.05), (math.nan, 0.75, 0.05),
+        (-math.inf, 0.75, 0.05), (0.4, 0.75, math.nan), (0.4, 0.75, math.inf),
+    ])
+    def test_non_finite_range_rejected(self, lo, hi, step):
+        with pytest.raises(ValueError, match="threshold range must be finite"):
+            threshold_range(lo, hi, step)
+
+    def test_range_capped_before_it_is_built(self):
+        assert len(threshold_range(0.0001, 0.1, 0.0001)) == MAX_THRESHOLDS == 1000
+        for lo, hi, step in [(0.0001, 0.1001, 0.0001), (0.4, 0.75, 1e-8), (-1e308, 1e308, 1e-300)]:
+            with pytest.raises(ValueError, match="holds more than 1000 thresholds"):
+                threshold_range(lo, hi, step)
 
     @pytest.mark.parametrize("bad", [(), (0.5, 0.5), (0.7, 0.4), (0.0, 0.5), (0.5, 1.0)])
     def test_invalid_sets(self, bad):

@@ -40,6 +40,13 @@ class TestConfig:
             NmsConfig(score_cutoff=float("nan"))
 
 
+class TestDetection:
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -0.5, 10**400], ids=["nan", "inf", "-0.5", "10**400"])
+    def test_score_outside_the_unit_interval_rejected(self, score):
+        with pytest.raises(ValueError, match="detection score must be in"):
+            Detection(Box(0, 0, 1, 1), score)
+
+
 class TestExamples:
     def test_empty_input(self):
         assert nms([], NmsConfig()) == []

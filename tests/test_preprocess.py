@@ -242,6 +242,7 @@ class TestPgm:
             b"P5\n2 2\n255\n" + b"\x00" * 5,  # trailing byte
             b"P5\n2\n255\n",  # missing dimension
             b"P5\nx 2\n255\n\x00\x00",  # non-numeric
+            b"P5\n1 1\n255#\x07",  # no whitespace byte after maxval
         ],
     )
     def test_malformed_rejected(self, data):
