@@ -32,6 +32,8 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 IGNORE = "ignore"
 
+MAX_ANCHORS = 1 << 20  # the most anchors generate_anchors may tile
+
 
 @dataclass(frozen=True)
 class AnchorSpec:
@@ -100,10 +102,13 @@ def generate_anchors(spec: AnchorSpec, grid_w: int, grid_h: int) -> list[Box]:
 
     Anchors are centered at ((i + 0.5) * stride, (j + 0.5) * stride) and
     emitted row-major over cells, ratio-major then scale-minor within each
-    cell, so the output length is grid_w * grid_h * anchors_per_cell.
+    cell, so the output length is grid_w * grid_h * anchors_per_cell, at
+    most MAX_ANCHORS.
     """
     if grid_w < 1 or grid_h < 1:
         raise ValueError(f"grid must be at least 1x1, got {grid_w}x{grid_h}")
+    if grid_w * grid_h * spec.anchors_per_cell > MAX_ANCHORS:
+        raise ValueError(f"{grid_w}x{grid_h} cells of {spec.anchors_per_cell} anchors exceed {MAX_ANCHORS} anchors")
     half_sizes = []
     for ratio in spec.ratios:
         root = math.sqrt(ratio)

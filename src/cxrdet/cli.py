@@ -10,23 +10,32 @@ Subcommands::
     classify    confusion metrics from per-image binary labels
 
 Every subcommand is a deterministic function of its inputs, flags, and
-seed. Exit codes: 0 success, 1 I/O failure, 2 malformed input or bad
-parameters.
+seed. Exit codes: 0 success, 1 I/O failure, 2 malformed input, bad
+parameters or an input too large for memory. Text inputs are UTF-8 (a BOM
+is skipped), and every error in one, from a byte that is not UTF-8 to a bad
+CSV row, names its line; lines end only at LF, CRLF or a lone CR, for
+``folds`` id lists too. ``--resize`` is capped at MAX_RESIZE_PIXELS output
+pixels and ``anchors`` at MAX_ANCHORS anchors, both checked before anything
+is allocated.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import random
 import sys
 from collections import Counter
 
-from .anchors import AnchorSpec, generate_anchors
+from .anchors import MAX_ANCHORS, AnchorSpec, generate_anchors
 from .formats import (
     PredRecord,
+    decode_text,
     group_ground_truth,
     group_predictions,
     read_ground_truth,
+    read_ids,
     read_labels,
     read_predictions,
     write_predictions,
@@ -43,7 +52,7 @@ from .metrics import (
     validate_thresholds,
 )
 from .nms import HARD, SOFT_GAUSSIAN, SOFT_LINEAR, NmsConfig, nms
-from .preprocess import AugmentSpec, augment, clahe, read_pgm, resize, write_pgm
+from .preprocess import MAX_RESIZE_PIXELS, AugmentSpec, augment, clahe, read_pgm, resize, write_pgm
 
 
 def _thresholds_arg(text: str):
@@ -56,26 +65,30 @@ def _thresholds_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _wh_arg(text: str):
-    try:
-        w, h = (int(part) for part in text.lower().split("x"))
-        return w, h
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from None
+def _split_arg(kind, sep: str, count: int | None, expected: str):
+    """An argparse type splitting a flag at ``sep`` into ``count`` values of
+    ``kind`` (any number when ``count`` is None)."""
+
+    def parse(text: str) -> tuple:
+        parts = text.lower().split(sep)
+        try:
+            if count in (None, len(parts)):
+                return tuple(map(kind, parts))
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
 
 
-def _shift_arg(text: str):
-    try:
-        x, y = (float(part) for part in text.split(","))
-        return x, y
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected X,Y, got {text!r}") from None
+_wh_arg = _split_arg(int, "x", 2, "WxH")
+_shift_arg = _split_arg(float, ",", 2, "X,Y")
+_floats_arg = _split_arg(float, ",", None, "a comma-separated float list")
 
 
 def _read_text(path: str) -> str:
-    # utf-8-sig: tolerate a BOM from spreadsheet exports, never produce one
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        return decode_text(fh.read())
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -126,13 +139,6 @@ def _cmd_anchors(args) -> int:
     return 0
 
 
-def _floats_arg(text: str):
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated float list, got {text!r}") from None
-
-
 def _check_sampling_flags(args) -> None:
     if not 0.0 <= args.hflip_prob <= 1.0:
         raise ValueError(f"--hflip-prob must lie in [0, 1]: {args.hflip_prob!r}")
@@ -169,11 +175,13 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_folds(args) -> int:
-    ids = [line.strip() for line in _read_text(args.ids).splitlines() if line.strip()]
+    ids = read_ids(_read_text(args.ids))
     assignment = kfold_split(ids, args.k, args.seed)
-    lines = ["patientId,fold"]
-    lines.extend(f"{pid},{assignment[pid]}" for pid in ids)
-    _write_text(args.out, "\n".join(lines) + "\n")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("patientId", "fold"))
+    writer.writerows((pid, assignment[pid]) for pid in ids)
+    _write_text(args.out, out.getvalue())
     return 0
 
 
@@ -227,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", type=_floats_arg, default=(8.0, 16.0, 32.0))
     p.add_argument("--ratios", type=_floats_arg, default=(0.5, 1.0, 2.0))
     p.add_argument("--stride", type=float, default=16.0)
-    p.add_argument("--grid", type=_wh_arg, default=(1, 1), help="feature-map size as WxH")
+    p.add_argument("--grid", type=_wh_arg, default=(1, 1),
+                   help=f"feature-map size as WxH; at most {MAX_ANCHORS} anchors in all")
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_anchors)
 
@@ -237,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clahe", action="store_true", help="apply CLAHE first")
     p.add_argument("--clip", type=float, default=2.0, help="CLAHE clip limit")
     p.add_argument("--tiles", type=_wh_arg, default=(8, 8), help="CLAHE tile grid as WxH")
-    p.add_argument("--resize", type=int, help="resize to N x N")
+    p.add_argument("--resize", type=int, help=f"resize to N x N, at most {MAX_RESIZE_PIXELS} pixels")
     p.add_argument("--rotate", type=float, default=0.0, help="rotation in degrees")
     p.add_argument("--shift", type=_shift_arg, default=(0.0, 0.0), help="shift as X,Y pixels")
     p.add_argument("--hflip", action="store_true", help="mirror horizontally")
@@ -274,6 +283,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

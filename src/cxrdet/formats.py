@@ -25,6 +25,13 @@ speaks a single convention. Unknown or missing columns are an error, LF and
 CRLF both parse, and floats are written with ``repr`` so read(write(x))
 round-trips bit-exactly.
 
+All three CSVs are read by one row loop: it checks the header and the field
+count, strips the patient id and refuses an empty one, and turns any row
+error, including a box corner that overflows, into a FormatError that
+names the line. Lines end only at LF, CRLF or a lone CR, in the CSVs and in
+the id lists ``read_ids`` reads, and ``decode_text`` names the line of a
+byte that is not UTF-8.
+
 Score reports are JSON with a fixed key order and reals rendered to six
 decimal places; images excluded from the mean (no boxes and no predictions)
 appear with a ``null`` score.
@@ -56,6 +63,8 @@ __all__ = [
     "write_report",
     "read_report",
     "read_labels",
+    "decode_text",
+    "read_ids",
     "validate_thresholds",
 ]
 
@@ -161,59 +170,87 @@ class ScoreReport:
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
-def _parse_rows(text: str, columns: tuple[str, ...], n: int):
-    """Yield (line_number, row) for non-empty rows, checking the header."""
+def decode_text(data: bytes) -> str:
+    """Decode a UTF-8 text file, dropping a leading BOM; a byte that is not
+    UTF-8 raises FormatError naming its line."""
+    try:
+        # utf-8-sig: tolerate a BOM from spreadsheet exports, never produce one
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the bad byte starts or continues the last line of the valid prefix
+        lineno = len(_LINE.findall(exc.object[: exc.start].decode("utf-8") + "?"))
+        raise FormatError(f"line {lineno}: invalid UTF-8 {exc.object[exc.start : exc.end]!r}: {exc.reason}") from None
+
+
+def read_ids(text: str) -> list[str]:
+    """The stripped, non-blank lines of a text, one id each; lines end as in
+    the CSVs, so a form feed or U+2028 stays inside an id."""
+    return [pid for m in _LINE.finditer(text) if (pid := m.group().strip())]
+
+
+def _parse_rows(text: str, columns: tuple[str, ...], parse_row):
+    """Yield ``parse_row(patient_id, fields)`` for each non-empty row.
+
+    The header must be ``columns``, every row must hold one field per column,
+    and its first field, stripped, is a non-empty patient id; ``fields`` are
+    the rest. A ValueError from any of these checks or from ``parse_row``
+    becomes a FormatError naming the line.
+    """
     # the limit is process-wide; no field can be longer than the whole text
     if len(text) > csv.field_size_limit():
         csv.field_size_limit(len(text))
     reader = csv.reader(m.group() for m in _LINE.finditer(text))
+    lineno = 1
     try:
         header = next(reader, None)
         if header is None:
-            raise FormatError("line 1: missing header")
+            raise ValueError("missing header")
         if tuple(h.strip() for h in header) != columns:
-            raise FormatError(f"line 1: expected header {','.join(columns)!r}, got {','.join(header)!r}")
+            raise ValueError(f"expected header {','.join(columns)!r}, got {','.join(header)!r}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != n:
-                raise FormatError(f"line {lineno}: expected {n} fields, got {len(row)}")
-            yield lineno, row
+            if len(row) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
+            patient_id = row[0].strip()
+            if not patient_id:
+                raise ValueError("empty patient id")
+            yield parse_row(patient_id, row[1:])
     except csv.Error as exc:
         raise FormatError(f"line {reader.line_num}: {exc}") from None
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
 
 
-def _parse_real(token: str, lineno: int, what: str) -> float:
+def _parse_real(token: str, what: str) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise FormatError(f"line {lineno}: non-numeric {what} {token!r}") from None
+        raise ValueError(f"non-numeric {what} {token!r}") from None
     if not math.isfinite(value):
-        raise FormatError(f"line {lineno}: {what} must be finite, got {token!r}")
+        raise ValueError(f"{what} must be finite, got {token!r}")
     return value
+
+
+def _ground_truth_row(patient_id: str, fields: list[str]) -> GtRecord:
+    *box_fields, target = (f.strip() for f in fields)
+    if target not in ("0", "1"):
+        raise ValueError(f"target must be 0 or 1, got {target!r}")
+    if target == "0":
+        if any(box_fields):
+            raise ValueError("target 0 rows must leave the box fields empty")
+        return GtRecord(patient_id, None, 0)
+    if not all(box_fields):
+        raise ValueError("target 1 rows need all four box fields")
+    x, y, w, h = (_parse_real(f, name) for f, name in zip(box_fields, "xywh"))
+    if w < 0 or h < 0:
+        raise ValueError(f"negative box extent {w if w < 0 else h}")
+    return GtRecord(patient_id, Box.from_xywh(x, y, w, h), 1)
 
 
 def read_ground_truth(text: str) -> list[GtRecord]:
     """Parse a ground-truth CSV; raises FormatError naming the bad line."""
-    records = []
-    for lineno, row in _parse_rows(text, GT_COLUMNS, 6):
-        pid, *box_fields, target = (f.strip() for f in row)
-        if not pid:
-            raise FormatError(f"line {lineno}: empty patient id")
-        if target not in ("0", "1"):
-            raise FormatError(f"line {lineno}: target must be 0 or 1, got {target!r}")
-        if target == "0":
-            if any(box_fields):
-                raise FormatError(f"line {lineno}: target 0 rows must leave the box fields empty")
-            records.append(GtRecord(pid, None, 0))
-            continue
-        if not all(box_fields):
-            raise FormatError(f"line {lineno}: target 1 rows need all four box fields")
-        x, y, w, h = (_parse_real(f, lineno, name) for f, name in zip(box_fields, "xywh"))
-        if w < 0 or h < 0:
-            raise FormatError(f"line {lineno}: negative box extent {w if w < 0 else h}")
-        records.append(GtRecord(pid, Box.from_xywh(x, y, w, h), 1))
-    return records
+    return list(_parse_rows(text, GT_COLUMNS, _ground_truth_row))
 
 
 def write_ground_truth(records) -> str:
@@ -232,38 +269,33 @@ def write_ground_truth(records) -> str:
     return out.getvalue()
 
 
+def _predictions_row(patient_id: str, fields: list[str]) -> PredRecord:
+    tokens = fields[0].split()
+    if len(tokens) % 5:
+        raise ValueError(f"prediction string must hold conf x y w h quintuples, got {len(tokens)} tokens")
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        # lazy, so a bad token raises only after every check before it in row order
+        values = (_parse_real(tok, what) for tok, what in zip(tokens, cycle(_PRED_FIELDS)))
+    detections = []
+    reals = iter(values)
+    for conf in reals:
+        if not 0.0 <= conf <= 1.0:
+            raise ValueError(f"confidence {conf!r} outside [0, 1]")
+        # pulled after conf is checked; zip(*[reals] * 5) would parse the box first
+        x, y, w, h = next(reals), next(reals), next(reals), next(reals)
+        if w < 0 or h < 0:
+            raise ValueError(f"negative box extent {w if w < 0 else h}")
+        detections.append(Detection(Box(x, y, x + w, y + h), conf))
+    return PredRecord(patient_id, tuple(detections))
+
+
 def read_predictions(text: str) -> list[PredRecord]:
     """Parse a predictions CSV; raises FormatError naming the bad line."""
-    records = []
-    for lineno, row in _parse_rows(text, PRED_COLUMNS, 2):
-        pid = row[0].strip()
-        if not pid:
-            raise FormatError(f"line {lineno}: empty patient id")
-        tokens = row[1].split()
-        if len(tokens) % 5:
-            raise FormatError(
-                f"line {lineno}: prediction string must hold conf x y w h "
-                f"quintuples, got {len(tokens)} tokens"
-            )
-        try:
-            values = list(map(float, tokens))
-        except ValueError:
-            values = None
-        if values is None or not all(map(math.isfinite, values)):
-            # lazy, so a bad token raises only after every check before it in row order
-            values = (_parse_real(tok, lineno, what) for tok, what in zip(tokens, cycle(_PRED_FIELDS)))
-        detections = []
-        reals = iter(values)
-        for conf in reals:
-            if not 0.0 <= conf <= 1.0:
-                raise FormatError(f"line {lineno}: confidence {conf!r} outside [0, 1]")
-            # pulled after conf is checked; zip(*[reals] * 5) would parse the box first
-            x, y, w, h = next(reals), next(reals), next(reals), next(reals)
-            if w < 0 or h < 0:
-                raise FormatError(f"line {lineno}: negative box extent {w if w < 0 else h}")
-            detections.append(Detection(Box(x, y, x + w, y + h), conf))
-        records.append(PredRecord(pid, tuple(detections)))
-    return records
+    return list(_parse_rows(text, PRED_COLUMNS, _predictions_row))
 
 
 def write_predictions(records) -> str:
@@ -280,16 +312,17 @@ def write_predictions(records) -> str:
     return out.getvalue()
 
 
+def _labels_row(patient_id: str, fields: list[str]) -> tuple[str, int, int]:
+    truth, pred = (f.strip() for f in fields)
+    if truth not in ("0", "1") or pred not in ("0", "1"):
+        raise ValueError("truth and pred must be 0 or 1")
+    return patient_id, int(truth), int(pred)
+
+
 def read_labels(text: str) -> list[tuple[str, int, int]]:
     """Parse a ``patientId,truth,pred`` CSV of binary labels into
     (patient_id, truth, pred) triples; raises FormatError naming the bad line."""
-    labels = []
-    for lineno, row in _parse_rows(text, LABEL_COLUMNS, 3):
-        pid, truth, pred = (f.strip() for f in row)
-        if truth not in ("0", "1") or pred not in ("0", "1"):
-            raise FormatError(f"line {lineno}: truth and pred must be 0 or 1")
-        labels.append((pid, int(truth), int(pred)))
-    return labels
+    return list(_parse_rows(text, LABEL_COLUMNS, _labels_row))
 
 
 def group_ground_truth(records) -> dict[str, list[Box]]:

@@ -32,6 +32,8 @@ from .geometry import Box
 # in cache where whole-image ones would stream through memory
 _BAND_ROWS = 16
 
+MAX_RESIZE_PIXELS = 1 << 26  # the most pixels resize may output: 8192 x 8192, 64 MB
+
 __all__ = [
     "AugmentSpec",
     "clahe",
@@ -144,11 +146,14 @@ def clahe(img, tiles_x: int = 8, tiles_y: int = 8, clip_limit: float = 2.0) -> n
 
 
 def resize(img, out_w: int, out_h: int) -> np.ndarray:
-    """Bilinear resize with pixel-center sampling (no corner alignment)."""
+    """Bilinear resize with pixel-center sampling (no corner alignment), to
+    at most MAX_RESIZE_PIXELS output pixels."""
     img = _as_gray(img)
     h, w = img.shape
     if out_w < 1 or out_h < 1:
         raise ValueError(f"output size must be at least 1x1, got {out_w}x{out_h}")
+    if out_w * out_h > MAX_RESIZE_PIXELS:
+        raise ValueError(f"output size {out_w}x{out_h} exceeds {MAX_RESIZE_PIXELS} pixels")
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
     x0 = np.floor(xs).astype(int)

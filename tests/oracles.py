@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from cxrdet.formats import PRED_COLUMNS, FormatError, PredRecord, _parse_rows
+from cxrdet.formats import PRED_COLUMNS, PredRecord, _parse_rows
 from cxrdet.geometry import Box, iou
 from cxrdet.metrics import MatchResult
 from cxrdet.nms import Detection
@@ -355,38 +355,33 @@ def per_threshold_match(preds, gt, ts, inclusive):
     return results
 
 
-def _token_real(token, lineno, what):
+def _token_real(token, what):
     try:
         value = float(token)
     except ValueError:
-        raise FormatError(f"line {lineno}: non-numeric {what} {token!r}") from None
+        raise ValueError(f"non-numeric {what} {token!r}") from None
     if not math.isfinite(value):
-        raise FormatError(f"line {lineno}: {what} must be finite, got {token!r}")
+        raise ValueError(f"{what} must be finite, got {token!r}")
     return value
+
+
+def _token_by_token_row(pid, fields):
+    tokens = fields[0].split()
+    if len(tokens) % 5:
+        raise ValueError(f"prediction string must hold conf x y w h quintuples, got {len(tokens)} tokens")
+    detections = []
+    for k in range(0, len(tokens), 5):
+        conf = _token_real(tokens[k], "confidence")
+        if not 0.0 <= conf <= 1.0:
+            raise ValueError(f"confidence {conf!r} outside [0, 1]")
+        x, y, w, h = (_token_real(tok, name) for tok, name in zip(tokens[k + 1 : k + 5], "xywh"))
+        if w < 0 or h < 0:
+            raise ValueError(f"negative box extent {w if w < 0 else h}")
+        detections.append(Detection(Box.from_xywh(x, y, w, h), conf))
+    return PredRecord(pid, tuple(detections))
 
 
 def token_by_token_read_predictions(text):
     """The predictions reader that parses and checks one token at a time,
     raising at the first bad one."""
-    records = []
-    for lineno, row in _parse_rows(text, PRED_COLUMNS, 2):
-        pid = row[0].strip()
-        if not pid:
-            raise FormatError(f"line {lineno}: empty patient id")
-        tokens = row[1].split()
-        if len(tokens) % 5:
-            raise FormatError(
-                f"line {lineno}: prediction string must hold conf x y w h "
-                f"quintuples, got {len(tokens)} tokens"
-            )
-        detections = []
-        for k in range(0, len(tokens), 5):
-            conf = _token_real(tokens[k], lineno, "confidence")
-            if not 0.0 <= conf <= 1.0:
-                raise FormatError(f"line {lineno}: confidence {conf!r} outside [0, 1]")
-            x, y, w, h = (_token_real(tok, lineno, name) for tok, name in zip(tokens[k + 1 : k + 5], "xywh"))
-            if w < 0 or h < 0:
-                raise FormatError(f"line {lineno}: negative box extent {w if w < 0 else h}")
-            detections.append(Detection(Box.from_xywh(x, y, w, h), conf))
-        records.append(PredRecord(pid, tuple(detections)))
-    return records
+    return list(_parse_rows(text, PRED_COLUMNS, _token_by_token_row))

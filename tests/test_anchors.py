@@ -24,6 +24,7 @@ from cxrdet import (
     select_proposals,
 )
 from cxrdet import anchors as anchors_module
+from cxrdet.anchors import MAX_ANCHORS
 from helpers import random_detections, random_positive_box
 from oracles import brute_force_hard_nms, property_decode_box, scalar_label_anchors
 
@@ -107,6 +108,12 @@ class TestGenerate:
         spec = AnchorSpec(16, (8,), (1,), 16)
         with pytest.raises(ValueError):
             generate_anchors(spec, 0, 1)
+
+    @pytest.mark.parametrize("grid_w, grid_h", [(100_000, 100_000), (MAX_ANCHORS // 9 + 1, 1), (1, MAX_ANCHORS // 9 + 1)])
+    def test_grid_past_the_anchor_cap_rejected_before_allocation(self, grid_w, grid_h):
+        spec = AnchorSpec(16, (8, 16, 32), (0.5, 1, 2), 16)
+        with pytest.raises(ValueError, match=f"{grid_w}x{grid_h} cells of 9 anchors exceed {MAX_ANCHORS} anchors"):
+            generate_anchors(spec, grid_w, grid_h)
 
 
 class TestLabels:

@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import os
 import random
 import subprocess
@@ -29,7 +32,10 @@ from cxrdet import (
     write_predictions,
     write_report,
 )
+from cxrdet import cli
+from cxrdet.anchors import MAX_ANCHORS
 from cxrdet.cli import main
+from cxrdet.preprocess import MAX_RESIZE_PIXELS
 from oracles import per_threshold_match, token_by_token_read_predictions
 
 GT_TEXT = """patientId,x,y,width,height,Target
@@ -280,6 +286,73 @@ class TestNms:
         assert capsys.readouterr().err == ""
 
 
+class TestTextInputs:
+    @pytest.mark.parametrize("line_end, line", [
+        (b"\n", 3), (b"\r\n", 3), (b"\r", 3), (b"\x0c", 2), (b"\xc2\x85", 2), (b"\xe2\x80\xa8", 2),
+    ])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path, capsys, line_end, line, bom):
+        preds = tmp_path / "preds.csv"
+        preds.write_bytes(bom + b"patientId,PredictionString\np1,0.9 1 1 1 1" + line_end + b"p2,0.5 \xff 1 1 1\n")
+        assert main(["nms", str(preds)]) == 2
+        assert capsys.readouterr().err == f"error: line {line}: invalid UTF-8 b'\\xff': invalid start byte\n"
+
+    def test_truncated_character_names_the_last_line(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"patientId,truth,pred\np1,1,1\np\xc3")
+        assert main(["classify", str(labels)]) == 2
+        assert capsys.readouterr().err == "error: line 3: invalid UTF-8 b'\\xc3': unexpected end of data\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["anchors", "--grid=2"], "argument --grid: expected WxH, got '2'"),
+        (["anchors", "--grid=2x2x2"], "argument --grid: expected WxH, got '2x2x2'"),
+        (["anchors", "--grid=1.5x2"], "argument --grid: expected WxH, got '1.5x2'"),
+        (["anchors", "--scales=8,,16"], "argument --scales: expected a comma-separated float list, got '8,,16'"),
+        (["anchors", "--ratios="], "argument --ratios: expected a comma-separated float list, got ''"),
+        (["preprocess", "in.pgm", "--out=o.pgm", "--shift=1"], "argument --shift: expected X,Y, got '1'"),
+        (["preprocess", "in.pgm", "--out=o.pgm", "--shift=1,2,3"], "argument --shift: expected X,Y, got '1,2,3'"),
+        (["preprocess", "in.pgm", "--out=o.pgm", "--shift=x,1"], "argument --shift: expected X,Y, got 'x,1'"),
+    ])
+    def test_bad_split_flag_messages(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+    def test_split_flags_parse(self):
+        args = cli.build_parser().parse_args(["anchors", "--grid", "3X2", "--scales", "8", "--ratios", "0.5,1e1"])
+        assert (args.grid, args.scales, args.ratios) == ((3, 2), (8.0,), (0.5, 10.0))
+        args = cli.build_parser().parse_args(["preprocess", "in.pgm", "--out", "o.pgm", "--shift=-1.5,2"])
+        assert args.shift == (-1.5, 2.0)
+
+
+class TestResourceCaps:
+    def test_anchor_grid_past_the_cap_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "anchors.csv"
+        assert main(["anchors", "--grid", "100000x100000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: 100000x100000 cells of 9 anchors exceed {MAX_ANCHORS} anchors\n"
+        assert not out.exists()
+
+    def test_resize_past_the_cap_exits_2(self, tmp_path, capsys):
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(src, np.zeros((4, 4), dtype=np.uint8))
+        assert main(["preprocess", str(src), "--resize", "100000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: output size 100000x100000 exceeds {MAX_RESIZE_PIXELS} pixels\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "error: out of memory: an allocation failed\n"),
+        (MemoryError("Unable to allocate 9.3 GiB"), "error: out of memory: Unable to allocate 9.3 GiB\n"),
+    ])
+    def test_memory_error_exits_2(self, monkeypatch, capsys, exc, message):
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "generate_anchors", exhausted)
+        assert main(["anchors"]) == 2
+        assert capsys.readouterr().err == message
+
+
 class TestAnchors:
     def test_default_grid_emits_nine_anchors(self, tmp_path):
         out = tmp_path / "anchors.csv"
@@ -311,6 +384,25 @@ class TestFolds:
             by_fold.setdefault(int(fold), []).append(pid)
         assert sorted(len(v) for v in by_fold.values()) == [2, 2, 2, 2, 3]
 
+    def test_ids_split_only_at_line_ends(self, tmp_path):
+        ids = tmp_path / "ids.txt"
+        ids.write_bytes("a\x0cb\nc\x85d\r\ne\u2028f\rg\n\n  \nh".encode())
+        out = tmp_path / "folds.csv"
+        assert main(["folds", str(ids), "--k", "2", "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO(out.read_bytes().decode(), newline="")))
+        assert rows[0] == ["patientId", "fold"]
+        assert [pid for pid, _ in rows[1:]] == ["a\x0cb", "c\x85d", "e\u2028f", "g", "h"]
+
+    def test_ids_with_commas_and_quotes_round_trip(self, tmp_path):
+        names = ["a,b", 'say "hi"', '"', "plain"]
+        ids = tmp_path / "ids.txt"
+        ids.write_text("".join(f"{pid}\n" for pid in names), encoding="utf-8")
+        out = tmp_path / "folds.csv"
+        assert main(["folds", str(ids), "--k", "2", "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO(out.read_bytes().decode(), newline="")))
+        assert [pid for pid, _ in rows[1:]] == names
+        assert sorted(fold for _, fold in rows[1:]) == ["0", "0", "1", "1"]
+
     def test_too_many_folds_exits_2(self, tmp_path):
         ids = tmp_path / "ids.txt"
         ids.write_text("p1\np2\n")
@@ -333,6 +425,12 @@ class TestClassify:
         labels = tmp_path / "labels.csv"
         labels.write_text("patientId,truth,pred\np1,2,0\n")
         assert main(["classify", str(labels)]) == 2
+
+    def test_empty_patient_id_exits_2(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("patientId,truth,pred\np1,1,1\n ,0,1\n")
+        assert main(["classify", str(labels)]) == 2
+        assert capsys.readouterr().err == "error: line 3: empty patient id\n"
 
 
 class TestPreprocess:
@@ -477,6 +575,19 @@ class TestFuzz:
     def test_classify(self, fuzz_dir, labels):
         argv = ["classify", put(fuzz_dir / "labels.csv", labels)]
         assert main(argv + ["--out", str(fuzz_dir / "metrics.json")]) in (0, 1, 2)
+
+    @given(st.one_of(
+        st.tuples(st.just("score"), fuzzed(GT_TEXT.encode()), fuzzed(THREE_BOX_PREDS.encode())),
+        st.tuples(st.just("nms"), fuzzed(THREE_BOX_PREDS.encode())),
+        st.tuples(st.just("classify"), fuzzed(b"patientId,truth,pred\np1,1,1\np2,0,1\np3,1,0\n")),
+    ))
+    def test_malformed_tables_name_the_line(self, fuzz_dir, case):
+        command, *inputs = case
+        argv = [command, *(put(fuzz_dir / f"table{i}.csv", data) for i, data in enumerate(inputs))]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(fuzz_dir / "out")])
+        assert code != 2 or err.getvalue().startswith("error: line "), err.getvalue()
 
     @given(fuzzed(b"a\nb\nc\nd\n"))
     def test_folds(self, fuzz_dir, ids):

@@ -72,6 +72,13 @@ class TestGroundTruth:
         with pytest.raises(FormatError, match=fragment):
             read_ground_truth(text)
 
+    def test_overflowing_corner_names_the_line(self):
+        with pytest.raises(FormatError) as info:
+            read_ground_truth(f"{GT_HEADER}\np1,1,1,1,1,1\np1,1e308,0,1e308,1,1\n")
+        assert str(info.value) == (
+            "line 3: box coordinates must be finite: Box(x_min=1e+308, y_min=0.0, x_max=inf, y_max=1.0)"
+        )
+
     def test_record_invariant(self):
         with pytest.raises(ValueError):
             GtRecord("p1", None, 1)
@@ -111,6 +118,13 @@ class TestPredictions:
             PredRecord("p1", (Detection(Box(10, 20, 40, 60), 0.9),)),
             PredRecord("p2", ()),
         ]
+
+    def test_overflowing_corner_names_the_line(self):
+        with pytest.raises(FormatError) as info:
+            read_predictions("patientId,PredictionString\np1,0.5 1e308 0 1e308 1\n")
+        assert str(info.value) == (
+            "line 2: box coordinates must be finite: Box(x_min=1e+308, y_min=0.0, x_max=inf, y_max=1.0)"
+        )
 
     def test_confidence_range_checked(self):
         with pytest.raises(FormatError, match="confidence"):
@@ -279,6 +293,12 @@ class TestLabels:
     def test_malformed_inputs_name_the_line(self, text, fragment):
         with pytest.raises(FormatError, match=fragment):
             read_labels(text)
+
+    @pytest.mark.parametrize("row", [",1,0", " ,1,0", "\t,1,0"])
+    def test_empty_patient_id_names_the_line(self, row):
+        with pytest.raises(FormatError) as info:
+            read_labels(f"patientId,truth,pred\np1,1,1\n{row}\n")
+        assert str(info.value) == "line 3: empty patient id"
 
 
 def random_wire_report(rng):

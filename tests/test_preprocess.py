@@ -17,7 +17,7 @@ from cxrdet import (
     resize,
     scale_boxes,
 )
-from cxrdet.preprocess import _BAND_ROWS
+from cxrdet.preprocess import _BAND_ROWS, MAX_RESIZE_PIXELS
 from oracles import global_hist_eq, whole_image_augment, whole_image_clahe, whole_image_resize
 
 
@@ -97,6 +97,12 @@ class TestResize:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             resize(np.zeros((4, 4), dtype=np.uint8), 0, 4)
+
+    @pytest.mark.parametrize("out_w, out_h", [(100_000, 100_000), (8193, 8192), (MAX_RESIZE_PIXELS + 1, 1)])
+    def test_output_past_the_pixel_cap_rejected_before_allocation(self, out_w, out_h):
+        assert MAX_RESIZE_PIXELS == 8192 * 8192
+        with pytest.raises(ValueError, match=f"output size {out_w}x{out_h} exceeds {MAX_RESIZE_PIXELS} pixels"):
+            resize(np.zeros((4, 4), dtype=np.uint8), out_w, out_h)
 
 
 class TestScaleBoxes:
