@@ -15,13 +15,11 @@ parameters or an input too large for memory. Text inputs are UTF-8 (a BOM
 is skipped), and every error in one, from a byte that is not UTF-8 to a bad
 CSV row, names its line; lines end only at LF, CRLF or a lone CR, for
 ``folds`` id lists too. ``--resize`` is capped at MAX_RESIZE_PIXELS output
-pixels and ``anchors`` at MAX_ANCHORS anchors, both checked before anything
-is allocated.
+pixels, ``--tiles`` at MAX_CLAHE_TILES tiles and ``anchors`` at MAX_ANCHORS
+anchors, each checked before anything is allocated.
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import random
@@ -38,6 +36,8 @@ from .formats import (
     read_ids,
     read_labels,
     read_predictions,
+    write_csv,
+    write_json_object,
     write_predictions,
     write_report,
 )
@@ -52,7 +52,7 @@ from .metrics import (
     validate_thresholds,
 )
 from .nms import HARD, SOFT_GAUSSIAN, SOFT_LINEAR, NmsConfig, nms
-from .preprocess import MAX_RESIZE_PIXELS, AugmentSpec, augment, clahe, read_pgm, resize, write_pgm
+from .preprocess import MAX_CLAHE_TILES, MAX_RESIZE_PIXELS, AugmentSpec, augment, clahe, read_pgm, resize, write_pgm
 
 
 def _thresholds_arg(text: str):
@@ -131,11 +131,8 @@ def _cmd_anchors(args) -> int:
     spec = AnchorSpec(args.base_size, tuple(args.scales), tuple(args.ratios), args.stride)
     grid_w, grid_h = args.grid
     boxes = generate_anchors(spec, grid_w, grid_h)
-    lines = ["x_min,y_min,x_max,y_max"]
-    lines.extend(
-        f"{b.x_min!r},{b.y_min!r},{b.x_max!r},{b.y_max!r}" for b in boxes
-    )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rows = ((b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes)
+    _write_text(args.out, write_csv(("x_min", "y_min", "x_max", "y_max"), rows))
     return 0
 
 
@@ -177,11 +174,7 @@ def _cmd_preprocess(args) -> int:
 def _cmd_folds(args) -> int:
     ids = read_ids(_read_text(args.ids))
     assignment = kfold_split(ids, args.k, args.seed)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("patientId", "fold"))
-    writer.writerows((pid, assignment[pid]) for pid in ids)
-    _write_text(args.out, out.getvalue())
+    _write_text(args.out, write_csv(("patientId", "fold"), ((pid, assignment[pid]) for pid in ids)))
     return 0
 
 
@@ -190,17 +183,14 @@ def _cmd_classify(args) -> int:
     m = confusion_metrics(
         ConfusionCounts(tp=pairs[1, 1], fp=pairs[0, 1], tn=pairs[0, 0], fn=pairs[1, 0])
     )
-    body = [
-        "{",
-        f'  "accuracy": {m.accuracy:.6f},',
-        f'  "specificity": {m.specificity:.6f},',
-        f'  "precision": {m.precision:.6f},',
-        f'  "recall": {m.recall:.6f},',
-        f'  "f1": {m.f1:.6f},',
-        f'  "undefined": {json.dumps(list(m.undefined))}',
-        "}",
-    ]
-    _write_text(args.out, "\n".join(body) + "\n")
+    _write_text(args.out, write_json_object({
+        "accuracy": f"{m.accuracy:.6f}",
+        "specificity": f"{m.specificity:.6f}",
+        "precision": f"{m.precision:.6f}",
+        "recall": f"{m.recall:.6f}",
+        "f1": f"{m.f1:.6f}",
+        "undefined": json.dumps(list(m.undefined)),
+    }))
     return 0
 
 
@@ -245,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output PGM")
     p.add_argument("--clahe", action="store_true", help="apply CLAHE first")
     p.add_argument("--clip", type=float, default=2.0, help="CLAHE clip limit")
-    p.add_argument("--tiles", type=_wh_arg, default=(8, 8), help="CLAHE tile grid as WxH")
+    p.add_argument("--tiles", type=_wh_arg, default=(8, 8),
+                   help=f"CLAHE tile grid as WxH, at most {MAX_CLAHE_TILES} tiles")
     p.add_argument("--resize", type=int, help=f"resize to N x N, at most {MAX_RESIZE_PIXELS} pixels")
     p.add_argument("--rotate", type=float, default=0.0, help="rotation in degrees")
     p.add_argument("--shift", type=_shift_arg, default=(0.0, 0.0), help="shift as X,Y pixels")

@@ -20,21 +20,24 @@ Labels CSV (binary per-image truth and prediction, for ``cxrdet classify``)::
     p001,1,0
 
 Boxes in the first two use the (x, y, width, height) convention and are
-converted to corner form here, at the boundary, so everything downstream
-speaks a single convention. Unknown or missing columns are an error, LF and
-CRLF both parse, and floats are written with ``repr`` so read(write(x))
-round-trips bit-exactly.
+converted to corner form here, at the boundary, by ``Box.from_xywh``, so
+everything downstream speaks a single convention. Unknown or missing
+columns are an error, LF and CRLF both parse, and floats are written with
+``repr`` so read(write(x)) round-trips bit-exactly.
 
 All three CSVs are read by one row loop: it checks the header and the field
 count, strips the patient id and refuses an empty one, and turns any row
 error, including a box corner that overflows, into a FormatError that
-names the line. Lines end only at LF, CRLF or a lone CR, in the CSVs and in
-the id lists ``read_ids`` reads, and ``decode_text`` names the line of a
-byte that is not UTF-8.
+names the line. Quoting is strict: a quote never closed, or text after a
+closing quote, is such an error. Lines end only at LF, CRLF or a lone CR, in
+the CSVs and in the id lists ``read_ids`` reads, and ``decode_text`` names
+the line of a byte that is not UTF-8. Every CSV the package writes, these
+and the ``folds`` and ``anchors`` tables, goes through ``write_csv``.
 
 Score reports are JSON with a fixed key order and reals rendered to six
 decimal places; images excluded from the mean (no boxes and no predictions)
-appear with a ``null`` score.
+appear with a ``null`` score. ``write_json_object`` lays out every JSON
+object the package writes, one field per line.
 """
 
 import csv
@@ -66,6 +69,8 @@ __all__ = [
     "decode_text",
     "read_ids",
     "validate_thresholds",
+    "write_csv",
+    "write_json_object",
 ]
 
 GT_COLUMNS = ("patientId", "x", "y", "width", "height", "Target")
@@ -199,7 +204,7 @@ def _parse_rows(text: str, columns: tuple[str, ...], parse_row):
     # the limit is process-wide; no field can be longer than the whole text
     if len(text) > csv.field_size_limit():
         csv.field_size_limit(len(text))
-    reader = csv.reader(m.group() for m in _LINE.finditer(text))
+    reader = csv.reader((m.group() for m in _LINE.finditer(text)), strict=True)
     lineno = 1
     try:
         header = next(reader, None)
@@ -220,6 +225,16 @@ def _parse_rows(text: str, columns: tuple[str, ...], parse_row):
         raise FormatError(f"line {reader.line_num}: {exc}") from None
     except ValueError as exc:
         raise FormatError(f"line {lineno}: {exc}") from None
+
+
+def write_csv(header, rows) -> str:
+    """The ``header`` row, then ``rows``, as CSV text with LF line ends;
+    fields are quoted only where they hold a comma, quote or line end."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _parse_real(token: str, what: str) -> float:
@@ -243,8 +258,6 @@ def _ground_truth_row(patient_id: str, fields: list[str]) -> GtRecord:
     if not all(box_fields):
         raise ValueError("target 1 rows need all four box fields")
     x, y, w, h = (_parse_real(f, name) for f, name in zip(box_fields, "xywh"))
-    if w < 0 or h < 0:
-        raise ValueError(f"negative box extent {w if w < 0 else h}")
     return GtRecord(patient_id, Box.from_xywh(x, y, w, h), 1)
 
 
@@ -253,20 +266,15 @@ def read_ground_truth(text: str) -> list[GtRecord]:
     return list(_parse_rows(text, GT_COLUMNS, _ground_truth_row))
 
 
+def _ground_truth_fields(record: GtRecord) -> tuple[str, ...]:
+    if record.box is None:
+        return (record.patient_id, "", "", "", "", "0")
+    return (record.patient_id, *(repr(float(v)) for v in record.box.to_xywh()), "1")
+
+
 def write_ground_truth(records) -> str:
     """Serialize GtRecords; inverse of :func:`read_ground_truth`."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(GT_COLUMNS)
-    for record in records:
-        if record.box is None:
-            writer.writerow([record.patient_id, "", "", "", "", "0"])
-        else:
-            x, y, w, h = record.box.to_xywh()
-            writer.writerow(
-                [record.patient_id, *(repr(float(v)) for v in (x, y, w, h)), "1"]
-            )
-    return out.getvalue()
+    return write_csv(GT_COLUMNS, map(_ground_truth_fields, records))
 
 
 def _predictions_row(patient_id: str, fields: list[str]) -> PredRecord:
@@ -286,10 +294,8 @@ def _predictions_row(patient_id: str, fields: list[str]) -> PredRecord:
         if not 0.0 <= conf <= 1.0:
             raise ValueError(f"confidence {conf!r} outside [0, 1]")
         # pulled after conf is checked; zip(*[reals] * 5) would parse the box first
-        x, y, w, h = next(reals), next(reals), next(reals), next(reals)
-        if w < 0 or h < 0:
-            raise ValueError(f"negative box extent {w if w < 0 else h}")
-        detections.append(Detection(Box(x, y, x + w, y + h), conf))
+        box = Box.from_xywh(next(reals), next(reals), next(reals), next(reals))
+        detections.append(Detection(box, conf))
     return PredRecord(patient_id, tuple(detections))
 
 
@@ -298,18 +304,13 @@ def read_predictions(text: str) -> list[PredRecord]:
     return list(_parse_rows(text, PRED_COLUMNS, _predictions_row))
 
 
+def _prediction_string(detections) -> str:
+    return " ".join(repr(float(v)) for det in detections for v in (det.score, *det.box.to_xywh()))
+
+
 def write_predictions(records) -> str:
     """Serialize PredRecords; floats use repr so parsing them back is exact."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PRED_COLUMNS)
-    for record in records:
-        tokens = []
-        for det in record.detections:
-            x, y, w, h = det.box.to_xywh()
-            tokens.extend(repr(float(v)) for v in (det.score, x, y, w, h))
-        writer.writerow([record.patient_id, " ".join(tokens)])
-    return out.getvalue()
+    return write_csv(PRED_COLUMNS, ((r.patient_id, _prediction_string(r.detections)) for r in records))
 
 
 def _labels_row(patient_id: str, fields: list[str]) -> tuple[str, int, int]:
@@ -343,6 +344,13 @@ def group_predictions(records) -> dict[str, list[Detection]]:
     return grouped
 
 
+def write_json_object(fields: dict[str, str]) -> str:
+    """A JSON object of ``fields``, whose values are JSON texts: ``{``, one
+    ``  "key": value`` line per field in order, then ``}``."""
+    body = ",\n".join(f"  {json.dumps(key)}: {value}" for key, value in fields.items())
+    return f"{{\n{body}\n}}\n"
+
+
 def _f6(value: float) -> str:
     return f"{value:.6f}"
 
@@ -358,16 +366,13 @@ def write_report(report: ScoreReport) -> str:
         f'"average_precision": {"null" if score is None else _f6(score)}}}'
         for pid, score in report.per_image
     )
-    lines = [
-        "{",
-        f'  "dataset_map": {_f6(report.dataset_map)},',
-        f'  "thresholds": [{", ".join(_f6(t) for t in report.thresholds)}],',
-        f'  "counts": [{counts}],',
-        f'  "per_image": [{per_image}],',
-        f'  "undefined": {json.dumps(list(report.undefined))}',
-        "}",
-    ]
-    return "\n".join(lines) + "\n"
+    return write_json_object({
+        "dataset_map": _f6(report.dataset_map),
+        "thresholds": f"[{', '.join(map(_f6, report.thresholds))}]",
+        "counts": f"[{counts}]",
+        "per_image": f"[{per_image}]",
+        "undefined": json.dumps(list(report.undefined)),
+    })
 
 
 def read_report(text: str) -> ScoreReport:

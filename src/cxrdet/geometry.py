@@ -35,7 +35,10 @@ class Box:
 
     @classmethod
     def from_xywh(cls, x, y, w, h) -> "Box":
-        """Build from the annotation-file (x, y, width, height) convention."""
+        """Build from the annotation-file (x, y, width, height) convention; a
+        negative width or height is refused before it is added."""
+        if w < 0 or h < 0:
+            raise ValueError(f"negative box extent {w if w < 0 else h}")
         return cls(x, y, x + w, y + h)
 
     def to_xywh(self) -> tuple[float, float, float, float]:

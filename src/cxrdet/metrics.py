@@ -255,15 +255,18 @@ def kfold_split(ids, k: int, seed: int) -> dict:
 
     Ids are shuffled with a seeded RNG and dealt round-robin, so fold sizes
     differ by at most one and the same (ids, seed) always yields the same
-    assignment. Duplicate ids are rejected.
+    assignment. A repeated id is rejected by name.
     """
     ids = list(ids)
     if k < 2:
         raise ValueError(f"need at least 2 folds: {k!r}")
     if k > len(ids):
         raise ValueError(f"cannot split {len(ids)} ids into {k} folds")
-    if len(set(ids)) != len(ids):
-        raise ValueError("ids must be unique")
+    seen = set()
+    for item in ids:
+        if item in seen:
+            raise ValueError(f"ids must be unique: {item!r} repeats")
+        seen.add(item)
     shuffled = ids.copy()
     random.Random(seed).shuffle(shuffled)
     return {item: pos % k for pos, item in enumerate(shuffled)}

@@ -13,7 +13,9 @@ equalization, mapping value v to round(cdf(v) * 255 / n_pixels).
 Image resampling (resize, rotation, shift) is bilinear with the pixel-center
 convention; samples outside the source read as 0 (black), matching the
 radiograph background. PGM (binary P5, 8-bit) is the image interchange
-format so fixtures stay bit-exact without codec dependencies.
+format so fixtures stay bit-exact without codec dependencies; its four
+header tokens are found by one compiled pattern, between whitespace and
+``#`` comments that run to the end of their line.
 
 The per-pixel kernels (CLAHE's blend, resize and the augmentation sampler)
 work through the output in bands of rows. Every pixel takes the same
@@ -22,7 +24,9 @@ results do not depend on banding.
 """
 
 import math
+import re
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -33,6 +37,12 @@ from .geometry import Box
 _BAND_ROWS = 16
 
 MAX_RESIZE_PIXELS = 1 << 26  # the most pixels resize may output: 8192 x 8192, 64 MB
+MAX_CLAHE_TILES = 1 << 16  # the most tiles clahe may equalize: 256 x 256, 16 MB of LUTs
+
+# a PGM header comment (# to the end of its line) or token (group 1, any other
+# run of bytes between whitespace); searching for the next one skips whitespace
+# in C and, unlike a repeated group, keeps no state per byte skipped
+_PGM_WORD = re.compile(rb"#[^\n]*|([^ \t\r\n#]+)")
 
 __all__ = [
     "AugmentSpec",
@@ -108,13 +118,16 @@ def clahe(img, tiles_x: int = 8, tiles_y: int = 8, clip_limit: float = 2.0) -> n
 
     ``clip_limit`` is a multiple of the flat-histogram bin height; clipped
     excess is redistributed uniformly over all 256 bins in a single pass.
-    Pass ``math.inf`` to disable clipping. The image must be at least
-    tiles_x pixels wide and tiles_y pixels tall.
+    Pass ``math.inf`` to disable clipping. The grid holds at most
+    MAX_CLAHE_TILES tiles, and the image must be at least tiles_x pixels
+    wide and tiles_y pixels tall.
     """
     img = _as_gray(img)
     h, w = img.shape
     if tiles_x < 1 or tiles_y < 1:
         raise ValueError(f"tile grid must be at least 1x1, got {tiles_x}x{tiles_y}")
+    if tiles_x * tiles_y > MAX_CLAHE_TILES:
+        raise ValueError(f"tile grid {tiles_x}x{tiles_y} exceeds {MAX_CLAHE_TILES} tiles")
     if not clip_limit > 0:
         raise ValueError(f"clip limit must be positive: {clip_limit!r}")
     if w < tiles_x or h < tiles_y:
@@ -308,23 +321,11 @@ def encode_pgm(img) -> bytes:
 
 def decode_pgm(data: bytes) -> np.ndarray:
     """Parse a binary PGM; accepts comments and any header whitespace."""
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        if pos >= len(data):
-            raise ValueError("truncated PGM header")
-        ch = data[pos : pos + 1]
-        if ch in b" \t\r\n":
-            pos += 1
-        elif ch == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-        else:
-            end = pos
-            while end < len(data) and data[end : end + 1] not in b" \t\r\n#":
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
+    found = list(islice((m for m in _PGM_WORD.finditer(data) if m.group(1)), 4))
+    if len(found) < 4:
+        raise ValueError("truncated PGM header")
+    tokens = [m.group(1) for m in found]
+    pos = found[-1].end()
     if tokens[0] != b"P5":
         raise ValueError(f"not a binary PGM (magic {tokens[0]!r})")
     try:

@@ -18,7 +18,9 @@ bulk-parsing reader. RoI pooling once gathered along the map's last axis;
 that form is the byte-for-byte reference for the cells-first one, down to
 the sign of a tied zero. Pooling once rebuilt its bin taps as Python lists
 on every call, and ``corners`` once built a tuple per box; both are kept as
-references for the cached tap plans and the one-pass ``corners``.
+references for the cached tap plans and the one-pass ``corners``. The PGM
+decoder once scanned its header byte by byte; that scanner is the reference
+for the one-pattern header reader.
 """
 
 import itertools
@@ -385,3 +387,41 @@ def token_by_token_read_predictions(text):
     """The predictions reader that parses and checks one token at a time,
     raising at the first bad one."""
     return list(_parse_rows(text, PRED_COLUMNS, _token_by_token_row))
+
+
+def byte_loop_decode_pgm(data):
+    """The PGM decoder that scans its header one byte at a time."""
+    tokens = []
+    pos = 0
+    while len(tokens) < 4:
+        if pos >= len(data):
+            raise ValueError("truncated PGM header")
+        ch = data[pos : pos + 1]
+        if ch in b" \t\r\n":
+            pos += 1
+        elif ch == b"#":
+            end = data.find(b"\n", pos)
+            pos = len(data) if end < 0 else end + 1
+        else:
+            end = pos
+            while end < len(data) and data[end : end + 1] not in b" \t\r\n#":
+                end += 1
+            tokens.append(data[pos:end])
+            pos = end
+    if tokens[0] != b"P5":
+        raise ValueError(f"not a binary PGM (magic {tokens[0]!r})")
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise ValueError(f"non-numeric PGM header fields: {tokens[1:]}") from None
+    if w < 1 or h < 1:
+        raise ValueError(f"PGM dimensions must be positive, got {w}x{h}")
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"only 8-bit PGM supported, got maxval {maxval}")
+    # a single whitespace byte separates header from raster
+    if pos < len(data) and data[pos] not in b" \t\r\n":
+        raise ValueError(f"PGM header must end in one whitespace byte, got {data[pos:pos + 1]!r}")
+    raster = data[pos + 1 :]
+    if len(raster) != w * h:
+        raise ValueError(f"expected {w * h} raster bytes, got {len(raster)}")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()

@@ -66,6 +66,25 @@ class TestAnchorSpec:
             AnchorSpec(**base)
 
 
+class TestAnchorLabel:
+    @pytest.mark.parametrize("kind, gt_index, message", [
+        ("maybe", None, "unknown label kind 'maybe'"),
+        (POSITIVE, None, "positive labels need a ground-truth index"),
+        (POSITIVE, -1, "positive labels need a ground-truth index"),
+        (NEGATIVE, 0, f"{NEGATIVE} labels carry no ground-truth index"),
+        (IGNORE, 3, f"{IGNORE} labels carry no ground-truth index"),
+    ])
+    def test_invariants(self, kind, gt_index, message):
+        with pytest.raises(ValueError) as info:
+            AnchorLabel(kind, gt_index)
+        assert str(info.value) == message
+
+    def test_is_positive(self):
+        assert AnchorLabel(POSITIVE, 0).is_positive
+        assert not AnchorLabel(NEGATIVE).is_positive
+        assert not AnchorLabel(IGNORE).is_positive
+
+
 class TestGenerate:
     def test_nine_anchors_on_single_cell(self):
         spec = AnchorSpec(16, (8, 16, 32), (0.5, 1, 2), 16)
@@ -252,6 +271,13 @@ class TestEncodeDecode:
             encode_box(Box(0, 0, 10, 10), Box(0, 0, 0, 5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_box_delta_must_be_finite(bad):
+    with pytest.raises(ValueError) as info:
+        BoxDelta(0.0, 0.0, bad, 0.0)
+    assert str(info.value) == f"box delta must be finite: BoxDelta(tx=0.0, ty=0.0, tw={bad!r}, th=0.0)"
+
+
 class TestSelectProposals:
     def test_single_box_passes_through(self):
         (prop,) = select_proposals([Box(10, 10, 20, 20)], [0.9], 100, 100)
@@ -326,6 +352,12 @@ class TestSelectProposals:
 
     def test_empty_input(self):
         assert select_proposals([], [], 100, 100) == []
+
+    @pytest.mark.parametrize("w, h", [(0, 10), (10, -1), (math.nan, 10)])
+    def test_image_size_must_be_positive(self, w, h):
+        with pytest.raises(ValueError) as info:
+            select_proposals([Box(0, 0, 1, 1)], [0.5], w, h)
+        assert str(info.value) == f"image size must be positive, got {w}x{h}"
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

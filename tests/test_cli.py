@@ -35,7 +35,7 @@ from cxrdet import (
 from cxrdet import cli
 from cxrdet.anchors import MAX_ANCHORS
 from cxrdet.cli import main
-from cxrdet.preprocess import MAX_RESIZE_PIXELS
+from cxrdet.preprocess import MAX_CLAHE_TILES, MAX_RESIZE_PIXELS
 from oracles import per_threshold_match, token_by_token_read_predictions
 
 GT_TEXT = """patientId,x,y,width,height,Target
@@ -285,6 +285,17 @@ class TestNms:
         assert main(["score", str(gt), str(preds)]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("row, message", [
+        ('p1,"0.5 1 2 3 4', "line 2: unexpected end of data"),
+        ('p1,"0.5 1 2 3 4"x', "line 2: ',' expected after '\"'"),
+    ])
+    def test_broken_quoting_exits_2(self, tmp_path, capsys, row, message):
+        preds, out = tmp_path / "preds.csv", tmp_path / "out.csv"
+        preds.write_text(f"patientId,PredictionString\n{row}")
+        assert main(["nms", str(preds), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestTextInputs:
     @pytest.mark.parametrize("line_end, line", [
@@ -340,6 +351,13 @@ class TestResourceCaps:
         assert capsys.readouterr().err == f"error: output size 100000x100000 exceeds {MAX_RESIZE_PIXELS} pixels\n"
         assert not out.exists()
 
+    def test_tile_grid_past_the_cap_exits_2(self, tmp_path, capsys):
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(src, np.zeros((4, 4), dtype=np.uint8))
+        assert main(["preprocess", str(src), "--clahe", "--tiles", "4096x4096", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: tile grid 4096x4096 exceeds {MAX_CLAHE_TILES} tiles\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("exc, message", [
         (MemoryError(), "error: out of memory: an allocation failed\n"),
         (MemoryError("Unable to allocate 9.3 GiB"), "error: out of memory: Unable to allocate 9.3 GiB\n"),
@@ -360,6 +378,14 @@ class TestAnchors:
         lines = out.read_text().splitlines()
         assert lines[0] == "x_min,y_min,x_max,y_max"
         assert len(lines) == 1 + 9
+
+    def test_output_bytes(self, tmp_path, capsys):
+        assert main(["anchors", "--scales", "1", "--ratios", "1,4", "--grid", "2x1"]) == 0
+        assert capsys.readouterr().out == (
+            "x_min,y_min,x_max,y_max\n"
+            "0.0,0.0,16.0,16.0\n4.0,-8.0,12.0,24.0\n"
+            "16.0,0.0,32.0,16.0\n20.0,-8.0,28.0,24.0\n"
+        )
 
     def test_grid_and_parameters(self, tmp_path):
         out = tmp_path / "anchors.csv"
@@ -407,6 +433,12 @@ class TestFolds:
         ids = tmp_path / "ids.txt"
         ids.write_text("p1\np2\n")
         assert main(["folds", str(ids), "--k", "5"]) == 2
+
+    def test_repeated_id_is_named(self, tmp_path, capsys):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("a\na\nb\n")
+        assert main(["folds", str(ids), "--k", "2"]) == 2
+        assert capsys.readouterr().err == "error: ids must be unique: 'a' repeats\n"
 
 
 class TestClassify:
@@ -599,3 +631,59 @@ class TestFuzz:
         argv = ["preprocess", put(fuzz_dir / "in.pgm", pgm), "--clahe", "--tiles", "2x2", "--resize", "8"]
         argv += ["--rotate", "7", "--hflip"] if augment else []
         assert main(argv + ["--out", str(fuzz_dir / "out.pgm")]) in (0, 1, 2)
+
+
+def past_the_cap(cap: int, factor: int = 1):
+    """Pairs (a, b) with a * b * factor just or far above ``cap``."""
+    return st.builds(
+        lambda a, extra: (a, cap // (a * factor) + 1 + extra),
+        st.integers(1, 2 * cap), st.integers(0, 1) | st.integers(0, 2 * cap),
+    )
+
+
+def run_main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestFuzzSizeFlags:
+    """Each flag that sizes an allocation, on both sides of its cap: values
+    under the cap are kept small enough to run at once, and values past it
+    exit 2 with the cap's message before anything is allocated."""
+
+    @given(st.integers(-2, 40) | st.integers(8193, 2**40))
+    def test_resize(self, fuzz_dir, n):
+        src = put(fuzz_dir / "film.pgm", b"P5\n3 2\n255\n" + bytes(range(6)))
+        code, err = run_main(["preprocess", src, f"--resize={n}", "--out", str(fuzz_dir / "out.pgm")])
+        if n * n > MAX_RESIZE_PIXELS:
+            assert (code, err) == (2, f"error: output size {n}x{n} exceeds {MAX_RESIZE_PIXELS} pixels\n")
+        else:
+            assert code == (0 if n >= 1 else 2), err
+
+    @given(st.tuples(st.integers(-1, 20), st.integers(-1, 20)) | past_the_cap(MAX_CLAHE_TILES))
+    def test_tiles(self, fuzz_dir, tiles):
+        tx, ty = tiles
+        src = put(fuzz_dir / "film.pgm", b"P5\n16 16\n255\n" + bytes(range(256)))
+        argv = ["preprocess", src, "--clahe", f"--tiles={tx}x{ty}", "--out", str(fuzz_dir / "out.pgm")]
+        code, err = run_main(argv)
+        if tx * ty > MAX_CLAHE_TILES:
+            assert (code, err) == (2, f"error: tile grid {tx}x{ty} exceeds {MAX_CLAHE_TILES} tiles\n")
+        else:
+            assert code == (0 if 1 <= tx <= 16 and 1 <= ty <= 16 else 2), err
+
+    @given(st.one_of(
+        st.tuples(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), st.lists(st.floats(), min_size=1, max_size=3)),
+        st.integers(1, 40).flatmap(lambda n: st.tuples(
+            past_the_cap(MAX_ANCHORS, 3 * n), st.lists(st.floats(0.5, 64), min_size=n, max_size=n))),
+    ))
+    def test_grid_and_scales(self, fuzz_dir, case):
+        (w, h), scales = case
+        per_cell = 3 * len(scales)  # three default ratios per scale
+        code, err = run_main(["anchors", f"--grid={w}x{h}", "--scales=" + ",".join(map(repr, scales)),
+                              "--out", str(fuzz_dir / "anchors.csv")])
+        if w * h * per_cell > MAX_ANCHORS:
+            assert (code, err) == (2, f"error: {w}x{h} cells of {per_cell} anchors exceed {MAX_ANCHORS} anchors\n")
+        else:
+            assert code in (0, 2) and (code == 0) == (err == ""), err

@@ -18,6 +18,7 @@ from cxrdet import (
     read_labels,
     read_predictions,
     read_report,
+    write_ground_truth,
     write_predictions,
     write_report,
 )
@@ -85,6 +86,18 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             GtRecord("p1", Box(0, 0, 1, 1), 0)
 
+    def test_written_bytes(self):
+        records = [GtRecord("p1", Box(10, 20, 40, 60.5), 1), GtRecord("p 2", None, 0), GtRecord('"q"', None, 0)]
+        assert write_ground_truth(records) == (
+            f"{GT_HEADER}\np1,10.0,20.0,30.0,40.5,1\np 2,,,,,0\n\"\"\"q\"\"\",,,,,0\n"
+        )
+        assert read_ground_truth(write_ground_truth(records)) == records
+
+    def test_record_target_must_be_a_bit(self):
+        with pytest.raises(ValueError) as info:
+            GtRecord("p1", None, 2)
+        assert str(info.value) == "target must be 0 or 1: 2"
+
 
 class TestPredictions:
     def test_single_quintuple(self):
@@ -141,6 +154,15 @@ class TestPredictions:
                 dets.append(Detection(Box.from_xywh(x, y, w, h), rng.random()))
             records.append(PredRecord(f"p{i:03d}", tuple(dets)))
         assert read_predictions(write_predictions(records)) == records
+
+    def test_written_bytes(self):
+        records = [PredRecord("p1", (Detection(Box(1, 2, 4, 6), 0.5), Detection(Box(0, 0, 0.1, 1e20), 1))),
+                   PredRecord('p,"2"', ())]
+        assert write_predictions(records) == (
+            "patientId,PredictionString\n"
+            "p1,0.5 1.0 2.0 3.0 4.0 1.0 0.0 0.0 0.1 1e+20\n"
+            '"p,""2""",\n'
+        )
 
     def test_group_predictions_merges_rows(self):
         text = "patientId,PredictionString\np1,0.9 0 0 10 10\np1,0.5 5 5 10 10\n"
@@ -211,6 +233,24 @@ class TestBulkParsedPredictions:
         assert read_outcome(token_by_token_read_predictions, text) == (FormatError, message)
 
 
+class TestStrictQuoting:
+    """A quote that is never closed, or text glued after a closing quote, is
+    an error naming the line, not part of a field."""
+
+    @pytest.mark.parametrize("row, message", [
+        ('p1,"0.5 1 2 3 4', "line 2: unexpected end of data"),
+        ('p1,"0.5 1 2 3 4\n', "line 2: unexpected end of data"),
+        ('p1,"0.5 1 2 3 4"x\n', "line 2: ',' expected after '\"'"),
+    ])
+    def test_broken_quoting_names_the_line(self, row, message):
+        assert read_outcome(read_predictions, f"patientId,PredictionString\n{row}") == (FormatError, message)
+        assert read_outcome(read_ground_truth, f"{GT_HEADER}\n{row}") == (FormatError, message)
+
+    def test_quoted_fields_still_read(self):
+        records = read_predictions('patientId,PredictionString\n"p,1","0.5 1 2 3 4"\n')
+        assert records == [PredRecord("p,1", (Detection(Box(1, 2, 4, 6), 0.5),))]
+
+
 def tiny_report():
     return ScoreReport(
         dataset_map=0.5,
@@ -269,6 +309,23 @@ class TestReport:
     def test_invalid_json_rejected(self):
         with pytest.raises(FormatError):
             read_report("{not json")
+
+    def test_invalid_contents_rejected(self):
+        text = write_report(tiny_report()).replace('"tp": 1,', '"tp": "x",', 1)
+        with pytest.raises(FormatError) as info:
+            read_report(text)
+        assert str(info.value) == "invalid report contents: invalid literal for int() with base 10: 'x'"
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError) as info:
+            ThresholdCounts(0.5, 0, -1, 0)
+        assert str(info.value) == "counts must be non-negative"
+
+    @pytest.mark.parametrize("score", [1.5, -0.25])
+    def test_per_image_score_must_lie_in_the_unit_interval(self, score):
+        with pytest.raises(ValueError) as info:
+            ScoreReport(score, (0.5,), (("p1", score),), (ThresholdCounts(0.5, 1, 0, 0),))
+        assert str(info.value) == f"per-image score out of range for 'p1': {score!r}"
 
 
 class TestLabels:

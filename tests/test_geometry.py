@@ -62,6 +62,19 @@ class TestBox:
         assert box == Box(10, 20, 40, 60)
         assert box.to_xywh() == (10, 20, 30, 40)
 
+    @pytest.mark.parametrize("xywh, message", [
+        ((0, 0, -1, 1), "negative box extent -1"),
+        ((0, 0, 1, -2.5), "negative box extent -2.5"),
+        ((0, 0, -1, -2), "negative box extent -1"),
+        # x + w rounds back to x, so only the extent itself shows the fault
+        ((1e20, 0, -1, 1), "negative box extent -1"),
+        ((0, 1e20, 1, -1), "negative box extent -1"),
+    ])
+    def test_from_xywh_refuses_a_negative_extent_before_adding(self, xywh, message):
+        with pytest.raises(ValueError) as info:
+            Box.from_xywh(*xywh)
+        assert str(info.value) == message
+
     def test_center_and_sides(self):
         box = Box(0, 0, 4, 2)
         assert box.center == (2.0, 1.0)

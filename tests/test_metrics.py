@@ -54,6 +54,12 @@ class TestThresholds:
             with pytest.raises(ValueError, match="holds more than 1000 thresholds"):
                 threshold_range(lo, hi, step)
 
+    @pytest.mark.parametrize("step", [0.0, -0.05])
+    def test_range_step_must_be_positive(self, step):
+        with pytest.raises(ValueError) as info:
+            threshold_range(0.4, 0.75, step)
+        assert str(info.value) == f"step must be positive: {step!r}"
+
     @pytest.mark.parametrize("bad", [(), (0.5, 0.5), (0.7, 0.4), (0.0, 0.5), (0.5, 1.0)])
     def test_invalid_sets(self, bad):
         with pytest.raises(ValueError):
@@ -262,6 +268,12 @@ class TestScoreDataset:
             preds[pid] = [det(random_positive_box(rng), round(rng.random(), 3)) for _ in range(rng.randint(0, 4))]
         assert score_dataset(gt, preds, workers=1) == score_dataset(gt, preds, workers=8)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_must_be_at_least_one(self, workers):
+        with pytest.raises(ValueError) as info:
+            score_dataset({}, {}, workers=workers)
+        assert str(info.value) == f"workers must be at least 1: {workers!r}"
+
     def test_perfect_predictions_score_one(self):
         rng = random.Random(67)
         gt = {f"p{i}": [random_positive_box(rng) for _ in range(rng.randint(1, 3))] for i in range(10)}
@@ -326,6 +338,12 @@ class TestKfold:
     def test_invalid_requests(self, ids, k):
         with pytest.raises(ValueError):
             kfold_split(ids, k, seed=0)
+
+    @pytest.mark.parametrize("ids, first", [(list("aab"), "a"), (list("bcaacb"), "a"), (["p,1", "q", "p,1"], "p,1")])
+    def test_first_repeated_id_is_named(self, ids, first):
+        with pytest.raises(ValueError) as info:
+            kfold_split(ids, 2, seed=0)
+        assert str(info.value) == f"ids must be unique: {first!r} repeats"
 
 
 class TestLosses:

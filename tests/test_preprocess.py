@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxrdet import (
@@ -17,8 +18,9 @@ from cxrdet import (
     resize,
     scale_boxes,
 )
-from cxrdet.preprocess import _BAND_ROWS, MAX_RESIZE_PIXELS
-from oracles import global_hist_eq, whole_image_augment, whole_image_clahe, whole_image_resize
+from cxrdet import preprocess
+from cxrdet.preprocess import _BAND_ROWS, MAX_CLAHE_TILES, MAX_RESIZE_PIXELS
+from oracles import byte_loop_decode_pgm, global_hist_eq, whole_image_augment, whole_image_clahe, whole_image_resize
 
 
 def random_image(rng, h, w):
@@ -71,6 +73,26 @@ class TestClahe:
     def test_non_uint8_rejected(self):
         with pytest.raises(ValueError):
             clahe(np.zeros((16, 16), dtype=float))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+    def test_empty_image_rejected(self, shape):
+        with pytest.raises(ValueError) as info:
+            clahe(np.zeros(shape, dtype=np.uint8))
+        assert str(info.value) == "image must be non-empty"
+
+    @pytest.mark.parametrize("tiles_x, tiles_y", [(MAX_CLAHE_TILES + 1, 1), (257, 256), (4096, 4096)])
+    def test_grid_past_the_tile_cap_rejected_before_allocation(self, tiles_x, tiles_y):
+        assert MAX_CLAHE_TILES == 256 * 256
+        with pytest.raises(ValueError) as info:
+            clahe(np.zeros((4, 4), dtype=np.uint8), tiles_x=tiles_x, tiles_y=tiles_y)
+        assert str(info.value) == f"tile grid {tiles_x}x{tiles_y} exceeds {MAX_CLAHE_TILES} tiles"
+
+    def test_grid_at_the_tile_cap_runs(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "MAX_CLAHE_TILES", 6)
+        img = np.arange(64, dtype=np.uint8).reshape(8, 8)
+        assert clahe(img, tiles_x=3, tiles_y=2).shape == (8, 8)
+        with pytest.raises(ValueError, match="^tile grid 7x1 exceeds 6 tiles$"):
+            clahe(img, tiles_x=7, tiles_y=1)
 
 
 class TestResize:
@@ -220,6 +242,29 @@ class TestAugment:
             AugmentSpec(rotation_deg=math.nan)
 
 
+# header bytes that stress the scanner: each whitespace byte, bytes that are
+# not PGM whitespace, comments that hold a CR or end at LF or at the end of
+# the data, and tokens good and bad
+HEADER_PIECES = st.sampled_from((
+    b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"\x00", b"\xff", b"#", b"# note\n", b"#\r", b"#P5 1 1 255\n",
+    b"P5", b"P2", b"0", b"1", b"2", b"3", b"255", b"256", b"x", b"-1", b"+2",
+))
+SEPARATORS = st.lists(
+    st.sampled_from((b" ", b"\t", b"\r", b"\n", b"# c\n", b"#\r\n", b"# 7\r 9\n", b"\x0b", b"\x0c")), min_size=1, max_size=3
+)
+
+
+@st.composite
+def pgm_files(draw):
+    """Mostly well-formed PGMs: four header fields between random separators,
+    then one byte and a raster of the right or a random length."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    fields = (b"P5", b"%d" % w, b"%d" % h, draw(st.sampled_from((b"255", b"128", b"0", b"256", b"x"))))
+    header = b"".join(b"".join(draw(SEPARATORS)) + f for f in fields)
+    end = draw(st.sampled_from((b"\n", b" ", b"\r", b"#", b"")))
+    return header + end + draw(st.binary(min_size=w * h, max_size=w * h) | st.binary(max_size=10))
+
+
 class TestPgm:
     def test_round_trip(self):
         rng = random.Random(113)
@@ -254,6 +299,40 @@ class TestPgm:
     def test_malformed_rejected(self, data):
         with pytest.raises(ValueError):
             decode_pgm(data)
+
+    @pytest.mark.parametrize("w, h", [(0, 2), (2, 0), (-1, 1)])
+    def test_dimensions_must_be_positive(self, w, h):
+        with pytest.raises(ValueError) as info:
+            decode_pgm(b"P5\n%d %d\n255\n" % (w, h))
+        assert str(info.value) == f"PGM dimensions must be positive, got {w}x{h}"
+
+    @pytest.mark.parametrize("piece, count", [(b" ", 10**6), (b"#\n", 200_000), (b"# x\r\n", 100_000)])
+    def test_header_padding_takes_no_memory_per_byte(self, piece, count):
+        # a repeated regex group would keep backtracking state for every
+        # whitespace byte and comment it skips: 25 to 120 MB here
+        data = b"P5" + piece * count + b" 1 1 255\n\x07"
+        tracemalloc.start()
+        try:
+            img = decode_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert img.tolist() == [[7]]
+        assert peak < 1 << 20
+
+    @settings(max_examples=500)
+    @given(st.one_of(st.builds(b"".join, st.lists(HEADER_PIECES, max_size=16)), pgm_files()))
+    def test_equals_the_byte_loop_scanner(self, data):
+        assert pgm_outcome(decode_pgm, data) == pgm_outcome(byte_loop_decode_pgm, data)
+
+
+def pgm_outcome(decoder, data):
+    """The decoded film's shape and bytes, or the text of the ValueError raised."""
+    try:
+        img = decoder(data)
+    except ValueError as exc:
+        return str(exc)
+    return img.dtype, img.shape, img.tobytes()
 
 
 # the banded kernels against their whole-image forms: band edges, single

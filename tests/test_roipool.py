@@ -64,6 +64,12 @@ class TestErrors:
         with pytest.raises(ValueError):
             roi_max_pool(ramp(4, 4), Box(2, 1, 2, 3), 1, 1)
 
+    @pytest.mark.parametrize("shape", [(5,), (1, 2, 3, 4), ()])
+    def test_map_must_be_2d_or_3d(self, shape):
+        with pytest.raises(ValueError) as info:
+            roi_max_pool(np.zeros(shape), Box(0, 0, 1, 1), 1, 1)
+        assert str(info.value) == f"feature map must be 2-D or 3-D, got shape {shape}"
+
     def test_bad_output_size(self):
         with pytest.raises(ValueError):
             roi_max_pool(ramp(4, 4), Box(0, 0, 4, 4), 0, 2)
