@@ -8,14 +8,21 @@ CLAHE follows the classic tile scheme: one clipped, equalized histogram
 mapping per tile, blended per pixel by bilinear interpolation between the
 four nearest tile centers (edge tiles extend outward). With a single tile
 and an infinite clip limit this degenerates to plain global histogram
-equalization, mapping value v to round(cdf(v) * 255 / n_pixels).
+equalization, mapping value v to round(cdf(v) * 255 / n_pixels). The
+histograms of a whole tile row are counted by one bincount per band of
+rows, each pixel offset into its tile's 256 bins.
 
 Image resampling (resize, rotation, shift) is bilinear with the pixel-center
 convention; samples outside the source read as 0 (black), matching the
-radiograph background. PGM (binary P5, 8-bit) is the image interchange
+radiograph background. CLAHE's blend and resize bracket each position with
+one rule, ``_blend_axis``: the two nearest grid centers and the weight of
+the upper one, 0 before the first center and from the last on. Every
+computed pixel and LUT entry is rounded half up and saturated to uint8 by
+``_round_into``. PGM (binary P5, maxval 255) is the image interchange
 format so fixtures stay bit-exact without codec dependencies; its four
 header tokens are found by one compiled pattern, between whitespace and
-``#`` comments that run to the end of their line.
+``#`` comments that run to the end of their line. Other maxvals are
+rejected, as every kernel works on the full 0-255 range.
 
 The per-pixel kernels (CLAHE's blend, resize and the augmentation sampler)
 work through the output in bands of rows. Every pixel takes the same
@@ -91,26 +98,28 @@ def _bilinear_into(flat, top, bottom, left, right, fx, fy, out) -> None:
     _round_into(upper, out)
 
 
-def _equalization_lut(hist: np.ndarray, n_pixels: int, clip_limit: float) -> np.ndarray:
+def _equalization_lut(hist: np.ndarray, n_pixels: np.ndarray, clip_limit: float, out: np.ndarray) -> None:
+    """Write into uint8 ``out`` one equalization LUT per row of ``hist``, the
+    256-bin counts of a tile of ``n_pixels`` pixels."""
+    n_pixels = n_pixels[:, None]
     if math.isfinite(clip_limit):
         # ceiling is clip_limit times the height of a flat histogram
         ceiling = clip_limit * n_pixels / 256.0
-        excess = np.clip(hist - ceiling, 0.0, None).sum()
+        excess = np.clip(hist - ceiling, 0.0, None).sum(axis=-1, keepdims=True)
         hist = np.minimum(hist, ceiling) + excess / 256.0
-    cdf = np.cumsum(hist)
-    return np.clip(np.floor(cdf * (255.0 / n_pixels) + 0.5), 0.0, 255.0)
+    _round_into(np.cumsum(hist, axis=-1) * (255.0 / n_pixels), out)
 
 
-def _blend_axis(n: int, edges: list[int]):
-    """Neighbor tile indices and interpolation weight for each pixel index."""
-    centers = np.array([(edges[t] + edges[t + 1] - 1) / 2.0 for t in range(len(edges) - 1)])
-    pos = np.arange(n, dtype=float)
-    hi = np.searchsorted(centers, pos, side="right")
-    lo = np.clip(hi - 1, 0, len(centers) - 1)
-    hi = np.clip(hi, 0, len(centers) - 1)
+def _blend_axis(centers: np.ndarray, positions: np.ndarray):
+    """Bracketing grid indices (lo, hi) and interpolation weight of each
+    position on an increasing grid of ``centers``. Before the first center
+    and from the last on, lo and hi are that center and the weight is 0."""
+    hi = np.searchsorted(centers, positions, side="right")
+    lo = np.maximum(hi - 1, 0)
+    np.minimum(hi, len(centers) - 1, out=hi)
     span = centers[hi] - centers[lo]
-    weight = np.where(span > 0, (pos - centers[lo]) / np.where(span > 0, span, 1.0), 0.0)
-    return lo, hi, np.clip(weight, 0.0, 1.0)
+    weight = np.divide(positions - centers[lo], span, out=np.zeros(len(positions)), where=span > 0)
+    return lo, hi, weight
 
 
 def clahe(img, tiles_x: int = 8, tiles_y: int = 8, clip_limit: float = 2.0) -> np.ndarray:
@@ -133,18 +142,23 @@ def clahe(img, tiles_x: int = 8, tiles_y: int = 8, clip_limit: float = 2.0) -> n
     if w < tiles_x or h < tiles_y:
         raise ValueError(f"{w}x{h} image too small for a {tiles_x}x{tiles_y} tile grid")
 
-    x_edges = [(t * w) // tiles_x for t in range(tiles_x + 1)]
-    y_edges = [(t * h) // tiles_y for t in range(tiles_y + 1)]
-    # LUT entries are whole numbers in [0, 255], so uint8 holds them exactly
+    # tile t of an axis spans edges[t]:edges[t + 1], centered at (edges[t] + edges[t + 1] - 1) / 2
+    x_edges = np.arange(tiles_x + 1) * w // tiles_x
+    y_edges = np.arange(tiles_y + 1) * h // tiles_y
+    tile_widths = np.diff(x_edges)
+    # a pixel's bin among its tile row's histograms: its tile's offset plus its value
+    tile_bins = np.repeat(np.arange(tiles_x) * 256, tile_widths)
     luts = np.empty((tiles_y, tiles_x, 256), dtype=np.uint8)
-    for ty in range(tiles_y):
-        for tx in range(tiles_x):
-            tile = img[y_edges[ty] : y_edges[ty + 1], x_edges[tx] : x_edges[tx + 1]]
-            hist = np.bincount(tile.ravel(), minlength=256).astype(float)
-            luts[ty, tx] = _equalization_lut(hist, tile.size, clip_limit)
+    for ty, (y0, y1) in enumerate(zip(y_edges, y_edges[1:])):
+        # counted in slabs of at most _BAND_ROWS rows, so the intp bin array stays band-sized
+        hist = sum(
+            np.bincount((tile_bins + img[r0 : min(r0 + _BAND_ROWS, y1)]).ravel(), minlength=tiles_x * 256)
+            for r0 in range(y0, y1, _BAND_ROWS)
+        )
+        _equalization_lut(hist.reshape(tiles_x, 256), (y1 - y0) * tile_widths, clip_limit, luts[ty])
 
-    ty0, ty1, wy = _blend_axis(h, y_edges)
-    tx0, tx1, wx = _blend_axis(w, x_edges)
+    ty0, ty1, wy = _blend_axis((y_edges[:-1] + y_edges[1:] - 1) / 2, np.arange(h))
+    tx0, tx1, wx = _blend_axis((x_edges[:-1] + x_edges[1:] - 1) / 2, np.arange(w))
     # m00 of pixel (r, c) is luts[ty0[r], tx0[c], img[r, c]], and so on
     flat = luts.ravel()
     col0, col1 = tx0 * 256, tx1 * 256
@@ -167,14 +181,8 @@ def resize(img, out_w: int, out_h: int) -> np.ndarray:
         raise ValueError(f"output size must be at least 1x1, got {out_w}x{out_h}")
     if out_w * out_h > MAX_RESIZE_PIXELS:
         raise ValueError(f"output size {out_w}x{out_h} exceeds {MAX_RESIZE_PIXELS} pixels")
-    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
-    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
-    x0 = np.floor(xs).astype(int)
-    y0 = np.floor(ys).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
+    x0, x1, fx = _blend_axis(np.arange(w, dtype=float), (np.arange(out_w) + 0.5) * (w / out_w) - 0.5)
+    y0, y1, fy = _blend_axis(np.arange(h, dtype=float), (np.arange(out_h) + 0.5) * (h / out_h) - 0.5)
     flat = img.ravel()
     out = np.empty((out_h, out_w), dtype=np.uint8)
     for r0 in range(0, out_h, _BAND_ROWS):
@@ -320,7 +328,7 @@ def encode_pgm(img) -> bytes:
 
 
 def decode_pgm(data: bytes) -> np.ndarray:
-    """Parse a binary PGM; accepts comments and any header whitespace."""
+    """Parse a binary PGM of maxval 255; accepts comments and any header whitespace."""
     found = list(islice((m for m in _PGM_WORD.finditer(data) if m.group(1)), 4))
     if len(found) < 4:
         raise ValueError("truncated PGM header")
@@ -334,8 +342,8 @@ def decode_pgm(data: bytes) -> np.ndarray:
         raise ValueError(f"non-numeric PGM header fields: {tokens[1:]}") from None
     if w < 1 or h < 1:
         raise ValueError(f"PGM dimensions must be positive, got {w}x{h}")
-    if not 1 <= maxval <= 255:
-        raise ValueError(f"only 8-bit PGM supported, got maxval {maxval}")
+    if maxval != 255:
+        raise ValueError(f"PGM maxval must be 255, got {maxval}")
     # a single whitespace byte separates header from raster
     if pos < len(data) and data[pos] not in b" \t\r\n":
         raise ValueError(f"PGM header must end in one whitespace byte, got {data[pos:pos + 1]!r}")

@@ -9,12 +9,13 @@ loops the library once ran for (soft-)NMS, anchor labelling and RoI
 pooling are kept as references for its array versions, box decoding
 through the ``Box`` properties as one for its inlined form, and so are the
 whole-image forms of its banded pixel kernels (the augmentation sampler,
-CLAHE's blend and resize). Those take the library's affine, tile-LUT and
-blend-axis helpers, which banding did not change, so they check the
-per-pixel arithmetic alone. The metric's matcher once walked every
-threshold in full and the predictions reader once checked every token on
-its own; both are kept as references for the banded matcher and the
-bulk-parsing reader. RoI pooling once gathered along the map's last axis;
+CLAHE's blend and resize). Those carry their own copies of the affine map,
+the one-tile LUT and the edge-based blend axis, and CLAHE's reference counts
+each tile's histogram on its own, so no reference leans on the helpers it
+checks; resize keeps its clip-and-floor sample rule. The metric's matcher
+once walked every threshold in full and the predictions reader once checked
+every token on its own; both are kept as references for the banded matcher
+and the bulk-parsing reader. RoI pooling once gathered along the map's last axis;
 that form is the byte-for-byte reference for the cells-first one, down to
 the sign of a tied zero. Pooling once rebuilt its bin taps as Python lists
 on every call, and ``corners`` once built a tuple per box; both are kept as
@@ -32,7 +33,6 @@ from cxrdet.formats import PRED_COLUMNS, PredRecord, _parse_rows
 from cxrdet.geometry import Box, iou
 from cxrdet.metrics import MatchResult
 from cxrdet.nms import Detection
-from cxrdet.preprocess import _blend_axis, _equalization_lut, _forward_affine
 
 
 def raster_cells(box, grid: int) -> np.ndarray:
@@ -259,6 +259,41 @@ def _round_to_u8(values):
     return np.clip(np.floor(values + 0.5), 0.0, 255.0).astype(np.uint8)
 
 
+def _forward_affine(spec, w, h):
+    """Coefficients of p -> A p + b mapping source to output coordinates."""
+    theta = math.radians(spec.rotation_deg)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    a11, a12, a21, a22 = cos_t, -sin_t, sin_t, cos_t
+    cx, cy = w / 2.0, h / 2.0
+    bx = cx - (a11 * cx + a12 * cy) + spec.shift_x
+    by = cy - (a21 * cx + a22 * cy) + spec.shift_y
+    if spec.hflip:
+        a11, a12, bx = -a11, -a12, w - bx
+    return a11, a12, a21, a22, bx, by
+
+
+def _equalization_lut(hist, n_pixels, clip_limit):
+    if math.isfinite(clip_limit):
+        # ceiling is clip_limit times the height of a flat histogram
+        ceiling = clip_limit * n_pixels / 256.0
+        excess = np.clip(hist - ceiling, 0.0, None).sum()
+        hist = np.minimum(hist, ceiling) + excess / 256.0
+    cdf = np.cumsum(hist)
+    return np.clip(np.floor(cdf * (255.0 / n_pixels) + 0.5), 0.0, 255.0)
+
+
+def _blend_axis(n, edges):
+    """Neighbor tile indices and interpolation weight for each pixel index."""
+    centers = np.array([(edges[t] + edges[t + 1] - 1) / 2.0 for t in range(len(edges) - 1)])
+    pos = np.arange(n, dtype=float)
+    hi = np.searchsorted(centers, pos, side="right")
+    lo = np.clip(hi - 1, 0, len(centers) - 1)
+    hi = np.clip(hi, 0, len(centers) - 1)
+    span = centers[hi] - centers[lo]
+    weight = np.where(span > 0, (pos - centers[lo]) / np.where(span > 0, span, 1.0), 0.0)
+    return lo, hi, np.clip(weight, 0.0, 1.0)
+
+
 def whole_image_augment(img, spec):
     """augment's image on whole-image float64 arrays: every pixel's source
     point, then four masked, zero-filled bilinear taps."""
@@ -416,8 +451,8 @@ def byte_loop_decode_pgm(data):
         raise ValueError(f"non-numeric PGM header fields: {tokens[1:]}") from None
     if w < 1 or h < 1:
         raise ValueError(f"PGM dimensions must be positive, got {w}x{h}")
-    if not 1 <= maxval <= 255:
-        raise ValueError(f"only 8-bit PGM supported, got maxval {maxval}")
+    if maxval != 255:
+        raise ValueError(f"PGM maxval must be 255, got {maxval}")
     # a single whitespace byte separates header from raster
     if pos < len(data) and data[pos] not in b" \t\r\n":
         raise ValueError(f"PGM header must end in one whitespace byte, got {data[pos:pos + 1]!r}")

@@ -550,6 +550,14 @@ class TestPreprocess:
         got = read_pgm(out)
         assert got.shape == (12, 20) and not got.any()
 
+    @pytest.mark.parametrize("maxval", [15, 254, 256])
+    def test_pgm_maxval_other_than_255_exits_2(self, tmp_path, capsys, maxval):
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        src.write_bytes(b"P5\n2 1\n%d\n\xff\x07" % maxval)
+        assert main(["preprocess", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: PGM maxval must be 255, got {maxval}\n"
+        assert not out.exists()
+
 
 # bytes that stress decoding and CSV parsing: NUL, invalid UTF-8, a lone
 # surrogate, a BOM, line and field separators, quotes and extreme numbers

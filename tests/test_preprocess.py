@@ -300,6 +300,13 @@ class TestPgm:
         with pytest.raises(ValueError):
             decode_pgm(data)
 
+    @pytest.mark.parametrize("maxval", [15, 1, 0, 128, 254, 256, 65535])
+    def test_maxval_must_be_255(self, maxval):
+        # every kernel and encode_pgm work on 0-255, so 7 of 15 is not read as 7 of 255
+        with pytest.raises(ValueError) as info:
+            decode_pgm(b"P5\n2 1\n%d\n\xff\x07" % maxval)
+        assert str(info.value) == f"PGM maxval must be 255, got {maxval}"
+
     @pytest.mark.parametrize("w, h", [(0, 2), (2, 0), (-1, 1)])
     def test_dimensions_must_be_positive(self, w, h):
         with pytest.raises(ValueError) as info:
@@ -399,17 +406,28 @@ def test_augment_far_out_of_image_reads_zero_without_warnings(rotation, shift_x,
 
 @given(
     st.integers(0, 2**32 - 1),
-    HEIGHTS,
+    # 3 * _BAND_ROWS + 1 rows in one or two tile rows put a slab boundary inside a tile
+    HEIGHTS | st.just(3 * _BAND_ROWS + 1),
     ODD_WIDTHS,
+    # 0 stands for one tile per pixel column
+    st.integers(0, 8),
     st.integers(1, 8),
-    st.integers(1, 8),
-    st.one_of(st.just(math.inf), st.sampled_from((0.5, 2.0, 40.0)), st.floats(0.01, 100.0)),
+    st.one_of(st.just(math.inf), st.sampled_from((0.5, 2.0, 40.0, 1e-9, 1e300)), st.floats(0.01, 100.0)),
 )
 def test_clahe_equals_whole_image_blend(seed, h, w, tiles_x, tiles_y, clip_limit):
     img = film(seed, h, w)
-    tiles_x, tiles_y = min(tiles_x, w), min(tiles_y, h)
+    tiles_x = min(tiles_x, w) or w
+    tiles_y = min(tiles_y, h) if h != 3 * _BAND_ROWS + 1 else 1 + tiles_y % 2
     got = clahe(img, tiles_x=tiles_x, tiles_y=tiles_y, clip_limit=clip_limit)
     assert got.tobytes() == whole_image_clahe(img, tiles_x, tiles_y, clip_limit).tobytes()
+
+
+def test_clahe_at_the_tile_cap_equals_the_per_tile_oracle():
+    # one tile per pixel: 65 536 tile LUTs, counted one tile row at a time
+    img = film(11, 256, 256)
+    assert 256 * 256 == MAX_CLAHE_TILES
+    got = clahe(img, tiles_x=256, tiles_y=256, clip_limit=2.0)
+    assert got.tobytes() == whole_image_clahe(img, 256, 256, 2.0).tobytes()
 
 
 @given(
@@ -418,8 +436,15 @@ def test_clahe_equals_whole_image_blend(seed, h, w, tiles_x, tiles_y, clip_limit
     ODD_WIDTHS,
     st.one_of(HEIGHTS, st.integers(1, 100)),
     st.one_of(ODD_WIDTHS, st.integers(1, 100)),
+    # whole scale factors per axis, in place of the out size: k > 0 enlarges the film k times, k < 0 shrinks one
+    # |k| times as large; their sample points fall on pixel centers or midway between them
+    st.none() | st.tuples(*[st.sampled_from((-4, -3, -2, 1, 2, 3, 4))] * 2),
 )
-def test_resize_equals_whole_image_gather(seed, h, w, out_h, out_w):
+def test_resize_equals_whole_image_gather(seed, h, w, out_h, out_w, factors):
+    if factors:
+        fy, fx = factors
+        h, out_h = (h, h * fy) if fy > 0 else (h * -fy, h)
+        w, out_w = (w, w * fx) if fx > 0 else (w * -fx, w)
     img = film(seed, h, w)
     got = resize(img, out_w, out_h)
     assert got.tobytes() == whole_image_resize(img, out_w, out_h).tobytes()
