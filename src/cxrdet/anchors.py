@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, corners, iou, iou_matrix  # noqa: F401  (bench/tracing.py wraps iou here)
+from .geometry import Box, clip_corners, corners, iou, iou_matrix  # noqa: F401  (bench/tracing.py wraps iou here)
 from .nms import HARD, Detection, NmsConfig, nms
 
 __all__ = [
@@ -158,26 +158,27 @@ def label_anchors(anchors, gt, pos_iou: float = 0.7, neg_iou: float = 0.3) -> li
     return [table[k] for k in assigned.tolist()]
 
 
+def _frame(box: Box, what: str) -> tuple[float, float, float, float]:
+    """Centre x, centre y, width and height of ``box``, each taken with the
+    ``Box`` property's own expression; ``what`` names a box whose width or
+    height is not positive in the ValueError."""
+    x0, y0, x1, y1 = box.x_min, box.y_min, box.x_max, box.y_max
+    w, h = x1 - x0, y1 - y0
+    if w <= 0.0 or h <= 0.0:
+        raise ValueError(f"{what} must have positive extents: {box!r}")
+    return 0.5 * (x0 + x1), 0.5 * (y0 + y1), w, h
+
+
 def encode_box(anchor: Box, gt: Box) -> BoxDelta:
     """Offsets that map ``anchor`` onto ``gt``; both need positive extents."""
-    wa, ha = anchor.width, anchor.height
-    if wa <= 0.0 or ha <= 0.0:
-        raise ValueError(f"anchor must have positive extents: {anchor!r}")
-    wg, hg = gt.width, gt.height
-    if wg <= 0.0 or hg <= 0.0:
-        raise ValueError(f"target box must have positive extents: {gt!r}")
-    xa, ya = anchor.center
-    xg, yg = gt.center
+    xa, ya, wa, ha = _frame(anchor, "anchor")
+    xg, yg, wg, hg = _frame(gt, "target box")
     return BoxDelta((xg - xa) / wa, (yg - ya) / ha, math.log(wg / wa), math.log(hg / ha))
 
 
 def decode_box(anchor: Box, delta: BoxDelta) -> Box:
     """Inverse of :func:`encode_box`; a ``tw`` or ``th`` that overflows exp is a ValueError."""
-    x0, y0, x1, y1 = anchor.x_min, anchor.y_min, anchor.x_max, anchor.y_max
-    wa, ha = x1 - x0, y1 - y0  # the width, height and center properties' own expressions
-    if wa <= 0.0 or ha <= 0.0:
-        raise ValueError(f"anchor must have positive extents: {anchor!r}")
-    xa, ya = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    xa, ya, wa, ha = _frame(anchor, "anchor")
     xc = delta.tx * wa + xa
     yc = delta.ty * ha + ya
     try:
@@ -218,10 +219,7 @@ def select_proposals(
     if not valid.all():
         raise ValueError(f"proposal score must be in [0, 1]: {scores[int(valid.argmin())]!r}")
 
-    clipped = corners(boxes)
-    # one clip per axis: a scalar bound keeps a -0.0 corner's sign, as max(-0.0, 0.0) does
-    np.clip(clipped[:, 0::2], 0.0, image_w, out=clipped[:, 0::2])
-    np.clip(clipped[:, 1::2], 0.0, image_h, out=clipped[:, 1::2])
+    clipped = clip_corners(corners(boxes), image_w, image_h)
     order = np.flatnonzero(~(clipped[:, 2:] - clipped[:, :2] < min_size).any(axis=1))  # width, height
     order = order[np.argsort(-values[order], kind="stable")][:pre_top_n]
     shortlist = [Detection(Box(*row), scores[i]) for i, row in zip(order.tolist(), clipped[order].tolist())]

@@ -143,6 +143,8 @@ def _check_sampling_flags(args) -> None:
         # uniform(-r, r) scales by the width 2r, which must not overflow either
         if not math.isfinite(2.0 * value):
             raise ValueError(f"{flag} must be a finite range: {value!r}")
+        if value < 0.0:  # uniform(r, -r) would draw the mirror image of uniform(-r, r); -0 is 0
+            raise ValueError(f"{flag} must not be negative: {value!r}")
 
 
 def _cmd_preprocess(args) -> int:
@@ -243,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hflip", action="store_true", help="mirror horizontally")
     p.add_argument("--sample-augment", action="store_true",
                    help="sample the augmentation from --seed instead of the fixed flags")
-    p.add_argument("--max-rotate", type=float, default=10.0, help="sampling range for rotation")
-    p.add_argument("--max-shift", type=float, default=20.0, help="sampling range for shift")
+    p.add_argument("--max-rotate", type=float, default=10.0, help="R >= 0: rotation drawn from [-R, R] degrees")
+    p.add_argument("--max-shift", type=float, default=20.0, help="S >= 0: each shift drawn from [-S, S] pixels")
     p.add_argument("--hflip-prob", type=float, default=0.5, help="sampling probability of a flip")
     p.add_argument("--seed", type=int, default=0, help="augmentation sampling seed")
     p.set_defaults(func=_cmd_preprocess)

@@ -12,7 +12,8 @@ from operator import attrgetter
 
 import numpy as np
 
-__all__ = ["Box", "area", "intersection_area", "iou", "corners", "box_columns", "iou_columns", "iou_matrix"]
+__all__ = ["Box", "area", "intersection_area", "iou", "corners", "clip_corners", "box_columns", "iou_columns",
+           "iou_matrix"]
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,17 @@ def corners(boxes) -> np.ndarray:
     x_max, y_max) rows, read in one pass; a coordinate too large for a float
     raises OverflowError."""
     return np.fromiter(chain.from_iterable(map(_CORNERS, boxes)), float).reshape(-1, 4)
+
+
+def clip_corners(rows: np.ndarray, w: float, h: float) -> np.ndarray:
+    """Clip a :func:`corners` array to [0, w] x [0, h] in place and return it.
+
+    One clip per axis: the bounds are scalars, so a -0.0 corner keeps its
+    sign, as ``max(-0.0, 0.0)`` does.
+    """
+    np.clip(rows[:, 0::2], 0.0, w, out=rows[:, 0::2])
+    np.clip(rows[:, 1::2], 0.0, h, out=rows[:, 1::2])
+    return rows
 
 
 def box_columns(boxes: np.ndarray) -> np.ndarray:

@@ -8,6 +8,9 @@ thresholds, and the dataset score is the mean over images. Images with
 neither ground truth nor predictions are excluded from that final mean;
 images with predictions but no ground truth score zero. Thresholds between
 which an image has no overlap form a band, and each band is walked once.
+Whether an overlap passes a threshold is decided in one place, the bisect
+that counts an image's failing overlaps; a walk is handed the least passing
+overlap and takes any best overlap that reaches it.
 
 Also here: binary-classification confusion metrics, seeded k-fold
 splitting, and pointwise loss evaluation (smooth L1, binary cross-entropy,
@@ -91,7 +94,8 @@ def _match(preds, gt, ts, inclusive) -> list[MatchResult]:
     # a walk only ever takes an overlap above 0.0, so nan (which fails every
     # comparison, and would break sorting) never counts
     positive = sorted([v for _, overlaps in rows for v in overlaps if v > 0.0])
-    # the overlaps that fail t: those <= t, or those < t when inclusive
+    # the pass rule, stated only here: the overlaps that fail t are those <= t,
+    # or those < t when inclusive, and the rest, positive[failing:], pass
     count_failing = bisect_left if inclusive else bisect_right
     results = []
     band = result = None
@@ -99,13 +103,14 @@ def _match(preds, gt, ts, inclusive) -> list[MatchResult]:
         failing = count_failing(positive, t)
         if failing != band:  # an overlap lies between the previous threshold and t
             band = failing
-            result = MatchResult(0, n, m, ()) if failing == len(positive) else _walk(rows, n, m, t, inclusive)
+            result = MatchResult(0, n, m, ()) if failing == len(positive) else _walk(rows, n, m, positive[failing])
         results.append(result)
     return results
 
 
-def _walk(rows, n, m, t, inclusive) -> MatchResult:
-    """One greedy walk at threshold ``t`` over confidence-ordered overlap rows."""
+def _walk(rows, n, m, floor) -> MatchResult:
+    """One greedy walk over confidence-ordered overlap rows, in which a best
+    overlap passes when it reaches ``floor``, the least passing overlap (> 0)."""
     unmatched = list(range(m))
     pairs = []
     for pi, overlaps in rows:
@@ -115,8 +120,7 @@ def _walk(rows, n, m, t, inclusive) -> MatchResult:
             if overlaps[gi] > best_overlap:
                 best_overlap = overlaps[gi]
                 best_gi = gi
-        hit = best_overlap >= t if inclusive else best_overlap > t
-        if best_gi >= 0 and hit:
+        if best_overlap >= floor:
             unmatched.remove(best_gi)
             pairs.append((pi, best_gi, best_overlap))
             if not unmatched:

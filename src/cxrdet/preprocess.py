@@ -24,10 +24,15 @@ header tokens are found by one compiled pattern, between whitespace and
 ``#`` comments that run to the end of their line. Other maxvals are
 rejected, as every kernel works on the full 0-255 range.
 
-The per-pixel kernels (CLAHE's blend, resize and the augmentation sampler)
-work through the output in bands of rows. Every pixel takes the same
-floating-point operations in the same order whatever the band height, so
-results do not depend on banding.
+The per-pixel kernels (CLAHE's blend and histograms, resize and the
+augmentation sampler) work through the output in bands of rows, all cut by
+one rule, ``_bands``: at most ``_BAND_ROWS`` rows, and past one row at most
+``_BAND_PIXELS`` pixels, so a very wide film runs in bands of fewer rows.
+Every pixel takes the same floating-point operations in the same order
+whatever the band height, so results do not depend on banding. What stays
+as long as a side (tile and sample indices, weights, one band row) is
+bounded by ``MAX_SIDE``: every kernel, ``encode_pgm`` and ``decode_pgm``
+refuse a film with a longer side, and ``resize`` an output with one.
 """
 
 import math
@@ -37,11 +42,15 @@ from itertools import islice
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, clip_corners, corners
 
 # rows per pass of the per-pixel kernels: a band's float64 temporaries stay
-# in cache where whole-image ones would stream through memory
+# in cache where whole-image ones would stream through memory; a band of more
+# than one row also holds at most _BAND_PIXELS pixels
 _BAND_ROWS = 16
+_BAND_PIXELS = _BAND_ROWS * 1024
+
+MAX_SIDE = 1 << 16  # the longest side of any film: per-axis arrays stay under a few MB
 
 MAX_RESIZE_PIXELS = 1 << 26  # the most pixels resize may output: 8192 x 8192, 64 MB
 MAX_CLAHE_TILES = 1 << 16  # the most tiles clahe may equalize: 256 x 256, 16 MB of LUTs
@@ -64,13 +73,26 @@ __all__ = [
 ]
 
 
+def _check_sides(w: int, h: int) -> None:
+    if w > MAX_SIDE or h > MAX_SIDE:
+        raise ValueError(f"{w}x{h} image has a side over {MAX_SIDE} pixels")
+
+
 def _as_gray(img) -> np.ndarray:
     a = np.asarray(img)
     if a.ndim != 2 or a.dtype != np.uint8:
         raise ValueError(f"expected a 2-D uint8 image, got {a.dtype} with shape {a.shape}")
     if a.size == 0:
         raise ValueError("image must be non-empty")
+    _check_sides(a.shape[1], a.shape[0])
     return a
+
+
+def _bands(start: int, stop: int, width: int):
+    """Row slices that cover rows start:stop of a film ``width`` pixels wide,
+    each of at most _BAND_ROWS rows and, past one row, _BAND_PIXELS pixels."""
+    step = max(1, min(_BAND_ROWS, _BAND_PIXELS // width))
+    return (slice(r0, min(r0 + step, stop)) for r0 in range(start, stop, step))
 
 
 def _round_into(values: np.ndarray, out: np.ndarray) -> None:
@@ -150,11 +172,9 @@ def clahe(img, tiles_x: int = 8, tiles_y: int = 8, clip_limit: float = 2.0) -> n
     tile_bins = np.repeat(np.arange(tiles_x) * 256, tile_widths)
     luts = np.empty((tiles_y, tiles_x, 256), dtype=np.uint8)
     for ty, (y0, y1) in enumerate(zip(y_edges, y_edges[1:])):
-        # counted in slabs of at most _BAND_ROWS rows, so the intp bin array stays band-sized
-        hist = sum(
-            np.bincount((tile_bins + img[r0 : min(r0 + _BAND_ROWS, y1)]).ravel(), minlength=tiles_x * 256)
-            for r0 in range(y0, y1, _BAND_ROWS)
-        )
+        # counted a band at a time, so the intp bin array stays band-sized
+        slabs = (tile_bins + img[rows] for rows in _bands(y0, y1, w))
+        hist = sum(np.bincount(slab.ravel(), minlength=tiles_x * 256) for slab in slabs)
         _equalization_lut(hist.reshape(tiles_x, 256), (y1 - y0) * tile_widths, clip_limit, luts[ty])
 
     ty0, ty1, wy = _blend_axis((y_edges[:-1] + y_edges[1:] - 1) / 2, np.arange(h))
@@ -163,8 +183,7 @@ def clahe(img, tiles_x: int = 8, tiles_y: int = 8, clip_limit: float = 2.0) -> n
     flat = luts.ravel()
     col0, col1 = tx0 * 256, tx1 * 256
     out = np.empty((h, w), dtype=np.uint8)
-    for r0 in range(0, h, _BAND_ROWS):
-        rows = slice(r0, r0 + _BAND_ROWS)
+    for rows in _bands(0, h, w):
         pix = img[rows].astype(np.intp)
         top = ty0[rows, None] * (tiles_x * 256) + pix
         bottom = ty1[rows, None] * (tiles_x * 256) + pix
@@ -181,12 +200,12 @@ def resize(img, out_w: int, out_h: int) -> np.ndarray:
         raise ValueError(f"output size must be at least 1x1, got {out_w}x{out_h}")
     if out_w * out_h > MAX_RESIZE_PIXELS:
         raise ValueError(f"output size {out_w}x{out_h} exceeds {MAX_RESIZE_PIXELS} pixels")
+    _check_sides(out_w, out_h)
     x0, x1, fx = _blend_axis(np.arange(w, dtype=float), (np.arange(out_w) + 0.5) * (w / out_w) - 0.5)
     y0, y1, fy = _blend_axis(np.arange(h, dtype=float), (np.arange(out_h) + 0.5) * (h / out_h) - 0.5)
     flat = img.ravel()
     out = np.empty((out_h, out_w), dtype=np.uint8)
-    for r0 in range(0, out_h, _BAND_ROWS):
-        rows = slice(r0, r0 + _BAND_ROWS)
+    for rows in _bands(0, out_h, out_w):
         _bilinear_into(flat, y0[rows, None] * w, y1[rows, None] * w, x0, x1, fx, fy[rows, None], out[rows])
     return out
 
@@ -243,23 +262,17 @@ def augment(img, boxes, spec: AugmentSpec):
     h, w = img.shape
     a11, a12, a21, a22, bx, by = _forward_affine(spec, w, h)
 
-    new_boxes = []
-    for box in boxes:
-        corners = (
-            (box.x_min, box.y_min),
-            (box.x_max, box.y_min),
-            (box.x_min, box.y_max),
-            (box.x_max, box.y_max),
-        )
-        xs = [a11 * x + a12 * y + bx for x, y in corners]
-        ys = [a21 * x + a22 * y + by for x, y in corners]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
-        if x_hi < 0 or x_lo > w or y_hi < 0 or y_lo > h:
-            continue
-        new_boxes.append(
-            Box(max(x_lo, 0.0), max(y_lo, 0.0), min(x_hi, float(w)), min(y_hi, float(h)))
-        )
+    # every box's four corners at once, in the order (x_min, y_min), (x_max,
+    # y_min), (x_min, y_max), (x_max, y_max); a huge box may overflow to inf
+    src = corners(boxes)
+    x, y = src[:, [0, 2, 0, 2]], src[:, [1, 1, 3, 3]]
+    with np.errstate(over="ignore"):
+        xs, ys = a11 * x + a12 * y + bx, a21 * x + a22 * y + by
+    hull = np.stack([xs.min(axis=1), ys.min(axis=1), xs.max(axis=1), ys.max(axis=1)], axis=1)
+    x_lo, y_lo, x_hi, y_hi = hull.T
+    # a box wholly off the image goes; on the rest a two-sided clip is one-sided
+    hull = hull[~((x_hi < 0) | (x_lo > w) | (y_hi < 0) | (y_lo > h))]
+    new_boxes = [Box(*row) for row in clip_corners(hull, w, h).tolist()]
 
     if spec.is_identity:
         return img.copy(), new_boxes
@@ -283,8 +296,7 @@ def augment(img, boxes, spec: AugmentSpec):
     flat = framed.ravel()
     taps = (flat, flat[1:], flat[stride:], flat[stride + 1 :])
     out = np.empty((h, w), dtype=np.uint8)
-    for r0 in range(0, h, _BAND_ROWS):
-        rows = slice(r0, r0 + _BAND_ROWS)
+    for rows in _bands(0, h, w):
         x_idx = src_x_of_col + i12 * out_y[rows, None]
         x_idx -= 0.5
         np.clip(x_idx, -2.0, w, out=x_idx)
@@ -342,6 +354,7 @@ def decode_pgm(data: bytes) -> np.ndarray:
         raise ValueError(f"non-numeric PGM header fields: {tokens[1:]}") from None
     if w < 1 or h < 1:
         raise ValueError(f"PGM dimensions must be positive, got {w}x{h}")
+    _check_sides(w, h)
     if maxval != 255:
         raise ValueError(f"PGM maxval must be 255, got {maxval}")
     # a single whitespace byte separates header from raster

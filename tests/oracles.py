@@ -21,7 +21,9 @@ the sign of a tied zero. Pooling once rebuilt its bin taps as Python lists
 on every call, and ``corners`` once built a tuple per box; both are kept as
 references for the cached tap plans and the one-pass ``corners``. The PGM
 decoder once scanned its header byte by byte; that scanner is the reference
-for the one-pattern header reader.
+for the one-pattern header reader. Augmentation once mapped its boxes one at
+a time, as corner tuples of Python floats clipped by ``max`` and ``min``;
+that loop is the reference for the array form clipped by ``clip_corners``.
 """
 
 import itertools
@@ -33,6 +35,8 @@ from cxrdet.formats import PRED_COLUMNS, PredRecord, _parse_rows
 from cxrdet.geometry import Box, iou
 from cxrdet.metrics import MatchResult
 from cxrdet.nms import Detection
+
+PGM_MAX_SIDE = 1 << 16  # the longest film side the decoder accepts
 
 
 def raster_cells(box, grid: int) -> np.ndarray:
@@ -272,6 +276,30 @@ def _forward_affine(spec, w, h):
     return a11, a12, a21, a22, bx, by
 
 
+def per_box_hull_boxes(boxes, spec, w, h):
+    """augment's boxes on a w x h film, one box at a time: the hull of its
+    four mapped corners, dropped when wholly off the image, else clipped."""
+    a11, a12, a21, a22, bx, by = _forward_affine(spec, w, h)
+    new_boxes = []
+    for box in boxes:
+        corners = (
+            (box.x_min, box.y_min),
+            (box.x_max, box.y_min),
+            (box.x_min, box.y_max),
+            (box.x_max, box.y_max),
+        )
+        xs = [a11 * x + a12 * y + bx for x, y in corners]
+        ys = [a21 * x + a22 * y + by for x, y in corners]
+        x_lo, x_hi = min(xs), max(xs)
+        y_lo, y_hi = min(ys), max(ys)
+        if x_hi < 0 or x_lo > w or y_hi < 0 or y_lo > h:
+            continue
+        new_boxes.append(
+            Box(max(x_lo, 0.0), max(y_lo, 0.0), min(x_hi, float(w)), min(y_hi, float(h)))
+        )
+    return new_boxes
+
+
 def _equalization_lut(hist, n_pixels, clip_limit):
     if math.isfinite(clip_limit):
         # ceiling is clip_limit times the height of a flat histogram
@@ -451,6 +479,8 @@ def byte_loop_decode_pgm(data):
         raise ValueError(f"non-numeric PGM header fields: {tokens[1:]}") from None
     if w < 1 or h < 1:
         raise ValueError(f"PGM dimensions must be positive, got {w}x{h}")
+    if w > PGM_MAX_SIDE or h > PGM_MAX_SIDE:
+        raise ValueError(f"{w}x{h} image has a side over {PGM_MAX_SIDE} pixels")
     if maxval != 255:
         raise ValueError(f"PGM maxval must be 255, got {maxval}")
     # a single whitespace byte separates header from raster

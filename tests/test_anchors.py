@@ -208,6 +208,9 @@ class TestLabels:
         )
 
 
+FLAT_BOXES = (Box(0, 0, 10, 0), Box(3, 0, 3, 10), Box(0.0, 0, -0.0, 5), Box(0, 0.0, 5, -0.0), Box(2, 2, 2, 2))
+
+
 class TestEncodeDecode:
     def test_identity_encoding(self):
         box = Box(3, 4, 10, 20)
@@ -234,11 +237,15 @@ class TestEncodeDecode:
         assert worst < 1e-9
 
     def test_degenerate_anchor_rejected(self):
-        flat = Box(0, 0, 10, 0)
-        with pytest.raises(ValueError):
-            encode_box(flat, Box(0, 0, 5, 5))
-        with pytest.raises(ValueError):
-            decode_box(flat, BoxDelta(0, 0, 0, 0))
+        # zero and -0.0 widths and heights (x_max - x_min is -0.0 for 0.0 and -0.0)
+        for flat in FLAT_BOXES:
+            want = f"anchor must have positive extents: {flat!r}"
+            with pytest.raises(ValueError) as info:
+                encode_box(flat, Box(0, 0, 5, 5))
+            assert str(info.value) == want
+            with pytest.raises(ValueError) as info:
+                decode_box(flat, BoxDelta(0, 0, 0, 0))
+            assert str(info.value) == want
 
     def test_overflowing_delta_rejected(self):
         # exp(800) is beyond float range; the error names the delta, nothing is clamped
@@ -267,8 +274,10 @@ class TestEncodeDecode:
 
     def test_degenerate_target_rejected(self):
         # log of a zero extent would make the offsets non-finite
-        with pytest.raises(ValueError):
-            encode_box(Box(0, 0, 10, 10), Box(0, 0, 0, 5))
+        for flat in FLAT_BOXES:
+            with pytest.raises(ValueError) as info:
+                encode_box(Box(0, 0, 10, 10), flat)
+            assert str(info.value) == f"target box must have positive extents: {flat!r}"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

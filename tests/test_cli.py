@@ -35,7 +35,7 @@ from cxrdet import (
 from cxrdet import cli
 from cxrdet.anchors import MAX_ANCHORS
 from cxrdet.cli import main
-from cxrdet.preprocess import MAX_CLAHE_TILES, MAX_RESIZE_PIXELS
+from cxrdet.preprocess import MAX_CLAHE_TILES, MAX_RESIZE_PIXELS, MAX_SIDE
 from oracles import per_threshold_match, token_by_token_read_predictions
 
 GT_TEXT = """patientId,x,y,width,height,Target
@@ -503,6 +503,9 @@ class TestPreprocess:
             ("--max-rotate", "1e308"),  # finite, but the sampling width 2e308 is not
             ("--max-shift", "-inf"),
             ("--max-shift", "nan"),
+            # a negative range would draw the mirror image of the positive one's sample
+            ("--max-rotate", "-5"),
+            ("--max-shift", "-1e-300"),
         ],
     )
     def test_bad_sampling_flag_exits_2_and_names_it(self, tmp_path, capsys, flag, value):
@@ -549,6 +552,14 @@ class TestPreprocess:
         assert capsys.readouterr().err == ""
         got = read_pgm(out)
         assert got.shape == (12, 20) and not got.any()
+
+    @pytest.mark.parametrize("w, h", [(MAX_SIDE + 1, 1), (1, MAX_SIDE + 1)])
+    def test_film_side_over_the_cap_exits_2(self, tmp_path, capsys, w, h):
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        src.write_bytes(b"P5\n%d %d\n255\n" % (w, h) + bytes(w * h))
+        assert main(["preprocess", str(src), "--clahe", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {w}x{h} image has a side over {MAX_SIDE} pixels\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("maxval", [15, 254, 256])
     def test_pgm_maxval_other_than_255_exits_2(self, tmp_path, capsys, maxval):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cxrdet import Box, area, intersection_area, iou
-from cxrdet.geometry import corners, iou_matrix
+from cxrdet.geometry import clip_corners, corners, iou_matrix
 from oracles import raster_iou, tuple_corners
 
 coord = st.integers(min_value=0, max_value=64)
@@ -240,3 +240,16 @@ class TestCorners:
                 build([Box(0, 0, 1, 1), box])
             with pytest.raises(OverflowError):
                 build(b for b in [box])
+
+
+class TestClipCorners:
+    @given(st.lists(st.tuples(*[st.sampled_from((0.0, -0.0, 5.0, 7.0, -3.0, 9.5)) | st.floats(-20.0, 20.0)] * 4),
+                    max_size=6),
+           st.sampled_from((7.0, 5, 0.5)), st.sampled_from((5.0, 7, 0.25)))
+    def test_equals_max_then_min_per_corner(self, rows, w, h):
+        # as max(v, 0.0) then min(v, bound) on Python floats, down to the sign of a zero
+        arr = np.array(rows, dtype=float).reshape(-1, 4)
+        got = clip_corners(arr, w, h)
+        assert got is arr
+        want = [[min(max(v, 0.0), float(bound)) for v, bound in zip(row, (w, h, w, h))] for row in rows]
+        assert repr(got.tolist()) == repr(want)

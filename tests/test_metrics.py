@@ -23,6 +23,7 @@ from cxrdet import (
     threshold_range,
     total_loss,
 )
+from cxrdet.geometry import iou
 from cxrdet.metrics import MAX_THRESHOLDS, _match, validate_thresholds
 from helpers import random_positive_box
 from oracles import greedy_consistent_assignments, per_threshold_match
@@ -165,8 +166,11 @@ class TestBandedMatching:
     separates; it must equal one full walk per threshold."""
 
     @given(st.lists(st.builds(det, match_boxes_st, tied_scores), max_size=6),
-           st.lists(match_boxes_st, max_size=5), threshold_sets, st.booleans())
-    def test_equals_one_walk_per_threshold(self, preds, gt, ts, inclusive):
+           st.lists(match_boxes_st, max_size=5), threshold_sets, st.booleans(), st.booleans())
+    def test_equals_one_walk_per_threshold(self, preds, gt, ts, inclusive, on_overlaps):
+        if on_overlaps:  # every overlap in (0, 1) is a threshold too, so overlaps sit exactly on thresholds
+            overlaps = {iou(p.box, g) for p in preds for g in gt}
+            ts = tuple(sorted(set(ts) | {v for v in overlaps if 0.0 < v < 1.0}))
         assert _match(preds, gt, ts, inclusive) == per_threshold_match(preds, gt, ts, inclusive)
 
     @pytest.mark.parametrize("inclusive", [False, True])

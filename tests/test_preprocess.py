@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cxrdet import (
@@ -19,8 +19,15 @@ from cxrdet import (
     scale_boxes,
 )
 from cxrdet import preprocess
-from cxrdet.preprocess import _BAND_ROWS, MAX_CLAHE_TILES, MAX_RESIZE_PIXELS
-from oracles import byte_loop_decode_pgm, global_hist_eq, whole_image_augment, whole_image_clahe, whole_image_resize
+from cxrdet.preprocess import _BAND_PIXELS, _BAND_ROWS, MAX_CLAHE_TILES, MAX_RESIZE_PIXELS, MAX_SIDE
+from oracles import (
+    byte_loop_decode_pgm,
+    global_hist_eq,
+    per_box_hull_boxes,
+    whole_image_augment,
+    whole_image_clahe,
+    whole_image_resize,
+)
 
 
 def random_image(rng, h, w):
@@ -242,6 +249,84 @@ class TestAugment:
             AugmentSpec(rotation_deg=math.nan)
 
 
+def edge_coords(side):
+    """Coordinates on, just inside and just past each edge of a side, huge
+    ones whose mapped corners overflow, and any in between."""
+    edges = (0.0, -0.0, -5e-324, 5e-324, -1.0, side / 2, side, math.nextafter(side, 0.0),
+             math.nextafter(side, math.inf), side + 1.0, 1.7e308, -1.7e308)
+    return st.sampled_from(edges) | st.floats(-2.0 * side, 3.0 * side)
+
+
+@st.composite
+def augment_cases(draw):
+    """A film size, boxes touching or crossing its edges (zero-size ones and
+    none at all included), and a turn of 0, 90 or 180 degrees or any angle,
+    with a shift by up to a film size and with or without a flip."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    boxes = []
+    for _ in range(draw(st.integers(0, 5))):
+        x0, x1 = sorted(draw(st.lists(edge_coords(w), min_size=2, max_size=2)))
+        y0, y1 = sorted(draw(st.lists(edge_coords(h), min_size=2, max_size=2)))
+        boxes.append(Box(x0, y0, x1, y1))
+    rotation = draw(st.sampled_from((0.0, 90.0, 180.0, -90.0, 270.0)) | st.floats(-360.0, 360.0))
+    shift_x = draw(st.sampled_from((0.0, -0.0, float(w), -float(w), 0.5)) | st.floats(-w, w))
+    shift_y = draw(st.sampled_from((0.0, -0.0, float(h), -float(h), 0.5)) | st.floats(-h, h))
+    return h, w, boxes, AugmentSpec(rotation, shift_x, shift_y, draw(st.booleans()))
+
+
+@settings(max_examples=300)
+@given(augment_cases())
+def test_augment_boxes_equal_the_per_box_hull(case):
+    # repr tells 0.0 from -0.0, so a zero's sign must match too
+    h, w, boxes, spec = case
+    _, got = augment(np.zeros((h, w), dtype=np.uint8), boxes, spec)
+    assert repr(got) == repr(per_box_hull_boxes(boxes, spec, w, h))
+
+
+@pytest.mark.parametrize("h, w", [(1, MAX_SIDE + 1), (MAX_SIDE + 1, 1)])
+def test_a_film_side_over_the_cap_is_refused(h, w):
+    want = f"{w}x{h} image has a side over {MAX_SIDE} pixels"
+    img = np.zeros((h, w), dtype=np.uint8)
+    calls = [
+        lambda: clahe(img, 1, 1),
+        lambda: resize(img, 2, 2),
+        lambda: augment(img, [], AugmentSpec(hflip=True)),
+        lambda: encode_pgm(img),
+        # the header is refused before the raster is read or copied
+        lambda: decode_pgm(b"P5\n%d %d\n255\n" % (w, h)),
+        # resize's output, once its pixel cap has passed
+        lambda: resize(np.zeros((2, 2), dtype=np.uint8), w, h),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize("kernel", ["clahe", "resize", "augment"])
+@pytest.mark.parametrize(
+    "h, w, limit_mb",
+    # a film of _BAND_ROWS rows at the side cap is 1 MB, and its output and
+    # augment's framed copy 2.3 MB more; 16-row bands of it took 28 to 77 MB
+    [(1, MAX_SIDE, 8), (MAX_SIDE, 1, 8), (_BAND_ROWS, MAX_SIDE, 12)],
+)
+def test_films_at_the_side_cap_take_band_sized_memory(kernel, h, w, limit_mb):
+    img = (np.arange(h * w) % 251).astype(np.uint8).reshape(h, w)
+    run = {
+        "clahe": lambda: clahe(img, tiles_x=min(8, w), tiles_y=min(8, h)),
+        "resize": lambda: resize(img, w, h),
+        "augment": lambda: augment(img, [], AugmentSpec(13.0, 0.5, -0.25, True))[0],
+    }[kernel]
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (h, w)
+    assert peak <= limit_mb << 20
+
+
 # header bytes that stress the scanner: each whitespace byte, bytes that are
 # not PGM whitespace, comments that hold a CR or end at LF or at the end of
 # the data, and tokens good and bad
@@ -364,6 +449,9 @@ def film(seed, h, w):
     st.floats(-3.0, 3.0),
     st.booleans(),
 )
+# films wide enough for bands of fewer than _BAND_ROWS rows, and of one row
+@example(1, 2 * _BAND_ROWS + 3, 1500, -7.0, 0.05, 0.0, False)
+@example(2, 3, _BAND_PIXELS + 1, 13.0, 0.1, -0.2, True)
 def test_augment_equals_whole_image_sampler(seed, h, w, rotation, shift_x, shift_y, hflip):
     img = film(seed, h, w)
     # shifts of up to three film sizes push the whole film off the image
@@ -414,6 +502,8 @@ def test_augment_far_out_of_image_reads_zero_without_warnings(rotation, shift_x,
     st.integers(1, 8),
     st.one_of(st.just(math.inf), st.sampled_from((0.5, 2.0, 40.0, 1e-9, 1e300)), st.floats(0.01, 100.0)),
 )
+@example(3, 3 * _BAND_ROWS + 1, 1500, 7, 1, math.inf)
+@example(4, 3, _BAND_PIXELS + 1, 5, 2, 2.0)
 def test_clahe_equals_whole_image_blend(seed, h, w, tiles_x, tiles_y, clip_limit):
     img = film(seed, h, w)
     tiles_x = min(tiles_x, w) or w
@@ -440,6 +530,8 @@ def test_clahe_at_the_tile_cap_equals_the_per_tile_oracle():
     # |k| times as large; their sample points fall on pixel centers or midway between them
     st.none() | st.tuples(*[st.sampled_from((-4, -3, -2, 1, 2, 3, 4))] * 2),
 )
+@example(5, 5, 17, 2 * _BAND_ROWS + 3, 1500, None)
+@example(6, 2, 3, 3, _BAND_PIXELS + 1, None)
 def test_resize_equals_whole_image_gather(seed, h, w, out_h, out_w, factors):
     if factors:
         fy, fx = factors
