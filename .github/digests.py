@@ -1,4 +1,4 @@
-"""Print the benchmark's warm-up digests for one ``src/`` tree, as one JSON object.
+"""Print warm-up and CLI run digests for one ``src/`` tree, as one JSON object.
 
     python .github/digests.py SRC
 
@@ -7,20 +7,56 @@ Imports ``cxrdet`` from ``SRC`` and the workloads from this checkout's
 once at seeds 1 and 2 in a temporary directory; its output must pass the
 workload's own check, and is fingerprinted as a warm-up op's is. Keys are
 ``workload/seed/input``; a value is the digest, or ``check failed: ...``
-when the check fails. Two trees whose objects are equal produce the same
-bytes on every benchmark input::
+when the check fails.
+
+Then each command of ``CLI_RUNS`` runs as ``cxrdet`` in a fresh process
+from ``SRC``, in the directory of that seed's workload inputs. Keys are
+``cli/seed/command``; a value is the exit code and one digest of stdout,
+stderr and the ``--out`` file's bytes. Two trees whose objects are equal
+produce the same bytes on every benchmark input and CLI run::
 
     python .github/digests.py src > head.json
     python .github/digests.py "$BASE/src" > base.json
 """
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
+
+# (workload whose input files a command reads, the command); paths are
+# relative to that workload's directory, and each command writes out.*
+PREPROCESS_FLAGS = ("--rotate 13 --shift 5.5,-3 --hflip --resize 300", "--sample-augment --seed 7",
+                    "--clahe --resize 512", "--clahe --clip inf")
+CLI_RUNS = (
+    ("score-leaderboard", "score gt.csv preds.csv --out out.json"),
+    ("score-leaderboard", "score gt.csv preds.csv --inclusive-iou --thresholds 0.3,0.5,0.9 --out out.json"),
+    ("score-leaderboard", "score gt.csv preds.csv --thresholds 0.05:0.95:0.05 --out out.json"),
+    *(("nms-raw", f"nms shard{s}.csv --mode {mode} --out out.csv")
+      for s in (0, 1) for mode in ("hard", "soft-linear", "soft-gaussian")),
+    *(("detect-image", f"preprocess film{s}.pgm {flags} --out out.pgm") for s in (0, 1) for flags in PREPROCESS_FLAGS),
+    ("detect-image", "anchors --grid 7x5 --scales 1,2"),
+)
+RUN_CLI = "import sys; from cxrdet.cli import main; sys.exit(main())"
+
+
+def cli_digest(src: Path, work: Path, command: str) -> str:
+    """Run ``cxrdet command`` from ``src`` in ``work``: its exit code and one
+    digest of stdout, stderr and the bytes of the file named by ``--out``."""
+    argv = command.split()
+    out = work / argv[argv.index("--out") + 1] if "--out" in argv else None
+    if out is not None:
+        out.unlink(missing_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], cwd=work, env=env, capture_output=True)
+    written = out.read_bytes() if out is not None and out.exists() else None
+    return f"exit {done.returncode} " + hashlib.sha1(repr((done.stdout, done.stderr, written)).encode()).hexdigest()
 
 
 def digests(src: Path) -> dict:
@@ -48,6 +84,9 @@ def digests(src: Path) -> dict:
                         found[f"{name}/{seed}/{i}"] = workload.digest(i, result)
                     except CheckFailed as exc:
                         found[f"{name}/{seed}/{i}"] = f"check failed: {exc}"
+        for seed in SEEDS:
+            for name, command in CLI_RUNS:
+                found[f"cli/{seed}/{command}"] = cli_digest(src, Path(tmp) / f"{name}-{seed}", command)
     return found
 
 

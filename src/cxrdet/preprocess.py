@@ -6,11 +6,14 @@ the unit square centered at (c + 0.5, r + 0.5).
 
 CLAHE follows the classic tile scheme: one clipped, equalized histogram
 mapping per tile, blended per pixel by bilinear interpolation between the
-four nearest tile centers (edge tiles extend outward). With a single tile
-and an infinite clip limit this degenerates to plain global histogram
-equalization, mapping value v to round(cdf(v) * 255 / n_pixels). The
-histograms of a whole tile row are counted by one bincount per band of
-rows, each pixel offset into its tile's 256 bins.
+four nearest tile centers (edge tiles extend outward). Every LUT goes
+through one clip rule: a clip limit of 256 or more puts the ceiling at the
+tile's pixel count, where it clips nothing, so ``math.inf`` and any finite
+limit from 256 up run the same arithmetic. With a single tile and such a
+limit CLAHE degenerates to plain global histogram equalization, mapping
+value v to round(cdf(v) * 255 / n_pixels). The histograms of a whole tile
+row are counted by one bincount per band of rows, each pixel offset into
+its tile's 256 bins.
 
 Image resampling (resize, rotation, shift) is bilinear with the pixel-center
 convention; samples outside the source read as 0 (black), matching the
@@ -26,8 +29,10 @@ rejected, as every kernel works on the full 0-255 range.
 
 The per-pixel kernels (CLAHE's blend and histograms, resize and the
 augmentation sampler) work through the output in bands of rows, all cut by
-one rule, ``_bands``: at most ``_BAND_ROWS`` rows, and past one row at most
-``_BAND_PIXELS`` pixels, so a very wide film runs in bands of fewer rows.
+one rule, ``_bands``: as many rows as fit in ``_BAND_PIXELS`` pixels, and at
+least one, so a narrow film runs in tall bands and a very wide one in bands
+of one row. The augmentation sampler has no identity shortcut: an identity
+spec samples every pixel at its own center and returns the input bytes.
 Every pixel takes the same floating-point operations in the same order
 whatever the band height, so results do not depend on banding. What stays
 as long as a side (tile and sample indices, weights, one band row) is
@@ -44,11 +49,10 @@ import numpy as np
 
 from .geometry import Box, clip_corners, corners
 
-# rows per pass of the per-pixel kernels: a band's float64 temporaries stay
-# in cache where whole-image ones would stream through memory; a band of more
-# than one row also holds at most _BAND_PIXELS pixels
-_BAND_ROWS = 16
-_BAND_PIXELS = _BAND_ROWS * 1024
+# pixels per pass of the per-pixel kernels: a band's float64 temporaries stay
+# in cache where whole-image ones would stream through memory; a 1024 px film
+# runs in 16-row bands
+_BAND_PIXELS = 16 * 1024
 
 MAX_SIDE = 1 << 16  # the longest side of any film: per-axis arrays stay under a few MB
 
@@ -90,8 +94,8 @@ def _as_gray(img) -> np.ndarray:
 
 def _bands(start: int, stop: int, width: int):
     """Row slices that cover rows start:stop of a film ``width`` pixels wide,
-    each of at most _BAND_ROWS rows and, past one row, _BAND_PIXELS pixels."""
-    step = max(1, min(_BAND_ROWS, _BAND_PIXELS // width))
+    each of _BAND_PIXELS // width rows, and at least one."""
+    step = max(1, _BAND_PIXELS // width)
     return (slice(r0, min(r0 + step, stop)) for r0 in range(start, stop, step))
 
 
@@ -124,11 +128,11 @@ def _equalization_lut(hist: np.ndarray, n_pixels: np.ndarray, clip_limit: float,
     """Write into uint8 ``out`` one equalization LUT per row of ``hist``, the
     256-bin counts of a tile of ``n_pixels`` pixels."""
     n_pixels = n_pixels[:, None]
-    if math.isfinite(clip_limit):
-        # ceiling is clip_limit times the height of a flat histogram
-        ceiling = clip_limit * n_pixels / 256.0
-        excess = np.clip(hist - ceiling, 0.0, None).sum(axis=-1, keepdims=True)
-        hist = np.minimum(hist, ceiling) + excess / 256.0
+    # ceiling is clip_limit times the height of a flat histogram; from a limit
+    # of 256 up it is the tile's pixel count, which no bin exceeds
+    ceiling = min(clip_limit, 256.0) * n_pixels / 256.0
+    excess = np.clip(hist - ceiling, 0.0, None).sum(axis=-1, keepdims=True)
+    hist = np.minimum(hist, ceiling) + excess / 256.0
     _round_into(np.cumsum(hist, axis=-1) * (255.0 / n_pixels), out)
 
 
@@ -149,9 +153,9 @@ def clahe(img, tiles_x: int = 8, tiles_y: int = 8, clip_limit: float = 2.0) -> n
 
     ``clip_limit`` is a multiple of the flat-histogram bin height; clipped
     excess is redistributed uniformly over all 256 bins in a single pass.
-    Pass ``math.inf`` to disable clipping. The grid holds at most
-    MAX_CLAHE_TILES tiles, and the image must be at least tiles_x pixels
-    wide and tiles_y pixels tall.
+    A limit of 256 or more, ``math.inf`` included, clips nothing. The grid
+    holds at most MAX_CLAHE_TILES tiles, and the image must be at least
+    tiles_x pixels wide and tiles_y pixels tall.
     """
     img = _as_gray(img)
     h, w = img.shape
@@ -274,9 +278,6 @@ def augment(img, boxes, spec: AugmentSpec):
     hull = hull[~((x_hi < 0) | (x_lo > w) | (y_hi < 0) | (y_lo > h))]
     new_boxes = [Box(*row) for row in clip_corners(hull, w, h).tolist()]
 
-    if spec.is_identity:
-        return img.copy(), new_boxes
-
     # invert analytically; rotations and flips keep |det| at 1
     det = a11 * a22 - a12 * a21
     i11, i12 = a22 / det, -a12 / det
@@ -297,10 +298,13 @@ def augment(img, boxes, spec: AugmentSpec):
     taps = (flat, flat[1:], flat[stride:], flat[stride + 1 :])
     out = np.empty((h, w), dtype=np.uint8)
     for rows in _bands(0, h, w):
-        x_idx = src_x_of_col + i12 * out_y[rows, None]
+        # two finite terms of a far shift may sum past the float range, to
+        # +-inf but never nan, which the clip takes like any far point
+        with np.errstate(over="ignore"):
+            x_idx = src_x_of_col + i12 * out_y[rows, None]
+            y_idx = src_y_of_col + i22 * out_y[rows, None]
         x_idx -= 0.5
         np.clip(x_idx, -2.0, w, out=x_idx)
-        y_idx = src_y_of_col + i22 * out_y[rows, None]
         y_idx -= 0.5
         np.clip(y_idx, -2.0, h, out=y_idx)
         x0 = np.floor(x_idx).astype(int)

@@ -706,3 +706,78 @@ class TestFuzzSizeFlags:
             assert (code, err) == (2, f"error: {w}x{h} cells of {per_cell} anchors exceed {MAX_ANCHORS} anchors\n")
         else:
             assert code in (0, 2) and (code == 0) == (err == ""), err
+
+
+# any finite float: both zeros, the least subnormals and values whose sum or
+# double overflows included
+REALS = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308)) | st.floats(allow_nan=False, allow_infinity=False)
+TINY_PGM = b"P5\n4 3\n255\n" + bytes(range(0, 240, 20))
+
+
+def real_flags(**draws):
+    """``--name=v`` arguments, one per keyword whose strategy draws a real or
+    a tuple or list of them, comma-joined; a flag may be left out."""
+    def arg(name, value):
+        return f"--{name.replace('_', '-')}=" + ",".join(map(repr, value if isinstance(value, (tuple, list)) else [value]))
+
+    return st.fixed_dictionaries({name: st.none() | draw for name, draw in draws.items()}).map(
+        lambda drawn: [arg(name, value) for name, value in drawn.items() if value is not None])
+
+
+def assert_clean_exit(argv):
+    """``argv`` exits 0 with nothing on stderr or 2 with one error line, and
+    raises no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_main(argv)
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+class TestFuzzRealFlags:
+    """Every real-valued flag, from the least subnormal to the largest finite
+    float, ends in exit 0 or in exit 2 with one error line, never in a
+    warning or a traceback."""
+
+    @given(real_flags(clip=REALS))
+    def test_clahe(self, fuzz_dir, flags):
+        src = put(fuzz_dir / "film.pgm", TINY_PGM)
+        assert_clean_exit(["preprocess", src, "--clahe", "--tiles=2x2", *flags, "--out", str(fuzz_dir / "out.pgm")])
+
+    @given(real_flags(rotate=REALS, shift=st.tuples(REALS, REALS)))
+    def test_augment(self, fuzz_dir, flags):
+        src = put(fuzz_dir / "film.pgm", TINY_PGM)
+        assert_clean_exit(["preprocess", src, *flags, "--out", str(fuzz_dir / "out.pgm")])
+
+    @given(real_flags(max_rotate=REALS, max_shift=REALS, hflip_prob=REALS), st.integers(0, 3))
+    def test_sampled_augment(self, fuzz_dir, flags, seed):
+        src = put(fuzz_dir / "film.pgm", TINY_PGM)
+        assert_clean_exit(["preprocess", src, "--sample-augment", f"--seed={seed}", *flags,
+                           "--out", str(fuzz_dir / "out.pgm")])
+
+    @given(real_flags(iou=REALS, sigma=REALS, score_cut=REALS), st.sampled_from(("hard", "soft-linear", "soft-gaussian")))
+    def test_nms(self, fuzz_dir, flags, mode):
+        src = put(fuzz_dir / "preds.csv", THREE_BOX_PREDS.encode())
+        assert_clean_exit(["nms", src, "--mode", mode, *flags, "--out", str(fuzz_dir / "kept.csv")])
+
+    @given(real_flags(base_size=REALS, stride=REALS, scales=st.lists(REALS, min_size=1, max_size=3),
+                      ratios=st.lists(REALS, min_size=1, max_size=3)))
+    def test_anchors(self, fuzz_dir, flags):
+        assert_clean_exit(["anchors", "--grid=2x2", *flags, "--out", str(fuzz_dir / "anchors.csv")])
+
+
+@pytest.mark.parametrize("flags", [["--clahe", "--clip", "1e308"], ["--rotate", "45", "--shift=1.7e308,-1.7e308"]])
+def test_extreme_real_flags_warn_nothing_in_a_fresh_process(tmp_path, flags):
+    # a fresh interpreter with every RuntimeWarning an error, as a strict caller runs it
+    src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    write_pgm(src, np.full((12, 20), 200, dtype=np.uint8))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", "import sys; from cxrdet.cli import main; sys.exit(main())",
+         "preprocess", str(src), *flags, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cxrdet.__file__))},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert read_pgm(out).shape == (12, 20)

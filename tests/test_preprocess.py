@@ -19,7 +19,7 @@ from cxrdet import (
     scale_boxes,
 )
 from cxrdet import preprocess
-from cxrdet.preprocess import _BAND_PIXELS, _BAND_ROWS, MAX_CLAHE_TILES, MAX_RESIZE_PIXELS, MAX_SIDE
+from cxrdet.preprocess import _BAND_PIXELS, MAX_CLAHE_TILES, MAX_RESIZE_PIXELS, MAX_SIDE, _bands
 from oracles import (
     byte_loop_decode_pgm,
     global_hist_eq,
@@ -28,6 +28,10 @@ from oracles import (
     whole_image_clahe,
     whole_image_resize,
 )
+
+
+# rows in one band of a film 1024 px wide, the RSNA films' width
+ROWS_AT_1024 = _BAND_PIXELS // 1024
 
 
 def random_image(rng, h, w):
@@ -283,6 +287,21 @@ def test_augment_boxes_equal_the_per_box_hull(case):
     assert repr(got) == repr(per_box_hull_boxes(boxes, spec, w, h))
 
 
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 29), (29, 1), (37, 53)])
+def test_identity_specs_return_the_input_bytes_through_the_sampler(h, w):
+    img = film(h * w, h, w)
+    # boxes on, along and across the edges, zero-size and -0.0 corners included
+    boxes = [Box(0, 0, w, h), Box(-0.0, -0.0, 0.0, 0.0), Box(w, h, w, h), Box(-1, 0.5, w / 2, h + 2),
+             Box(w / 3, -5, w + 5, h / 3)]
+    # every sign of zero in each real field: each spec maps every point to itself
+    for spec in [AugmentSpec(r, x, y) for r in (0.0, -0.0) for x in (0.0, -0.0) for y in (0.0, -0.0)]:
+        assert spec.is_identity
+        got, got_boxes = augment(img, boxes, spec)
+        assert not np.shares_memory(got, img)
+        assert got.tobytes() == img.tobytes()
+        assert repr(got_boxes) == repr(per_box_hull_boxes(boxes, spec, w, h))
+
+
 @pytest.mark.parametrize("h, w", [(1, MAX_SIDE + 1), (MAX_SIDE + 1, 1)])
 def test_a_film_side_over_the_cap_is_refused(h, w):
     want = f"{w}x{h} image has a side over {MAX_SIDE} pixels"
@@ -306,9 +325,9 @@ def test_a_film_side_over_the_cap_is_refused(h, w):
 @pytest.mark.parametrize("kernel", ["clahe", "resize", "augment"])
 @pytest.mark.parametrize(
     "h, w, limit_mb",
-    # a film of _BAND_ROWS rows at the side cap is 1 MB, and its output and
+    # a film of ROWS_AT_1024 rows at the side cap is 1 MB, and its output and
     # augment's framed copy 2.3 MB more; 16-row bands of it took 28 to 77 MB
-    [(1, MAX_SIDE, 8), (MAX_SIDE, 1, 8), (_BAND_ROWS, MAX_SIDE, 12)],
+    [(1, MAX_SIDE, 8), (MAX_SIDE, 1, 8), (ROWS_AT_1024, MAX_SIDE, 12)],
 )
 def test_films_at_the_side_cap_take_band_sized_memory(kernel, h, w, limit_mb):
     img = (np.arange(h * w) % 251).astype(np.uint8).reshape(h, w)
@@ -429,7 +448,7 @@ def pgm_outcome(decoder, data):
 
 # the banded kernels against their whole-image forms: band edges, single
 # rows and columns, and films pushed wholly off the image
-HEIGHTS = st.sampled_from((1, 2, _BAND_ROWS - 1, _BAND_ROWS, _BAND_ROWS + 1, 2 * _BAND_ROWS + 3))
+HEIGHTS = st.sampled_from((1, 2, ROWS_AT_1024 - 1, ROWS_AT_1024, ROWS_AT_1024 + 1, 2 * ROWS_AT_1024 + 3))
 ODD_WIDTHS = st.sampled_from((1, 3, 5, 17, 31))
 
 
@@ -438,6 +457,26 @@ def film(seed, h, w):
     # a ramp plus noise, so tiles differ and every mapping is exercised
     ramp = (np.arange(h)[:, None] * 7 + np.arange(w)[None, :] * 3) % 200
     return (ramp + gen.integers(0, 56, size=(h, w))).astype(np.uint8)
+
+
+@given(st.integers(0, MAX_SIDE), st.integers(0, MAX_SIDE), st.integers(1, MAX_SIDE))
+@example(0, MAX_SIDE, 1)
+@example(0, 100, _BAND_PIXELS + 1)
+def test_bands_cut_rows_by_the_pixel_budget(start, stop, width):
+    bands = list(_bands(start, stop, width))
+    step = max(1, _BAND_PIXELS // width)
+    assert [(b.start, b.stop) for b in bands] == [(r, min(r + step, stop)) for r in range(start, stop, step)]
+    assert all(b.stop - b.start >= 1 and (b.stop - b.start) * width <= max(width, _BAND_PIXELS) for b in bands)
+
+
+@pytest.mark.parametrize(
+    "h, w, rows, count",
+    # a film 1024 px wide, a resize output 512 px wide, one film too wide for
+    # two rows, and a 1-px-wide film at the side cap
+    [(1024, 1024, 16, 64), (512, 512, 32, 16), (5, _BAND_PIXELS + 1, 1, 5), (MAX_SIDE, 1, 16384, 4)],
+)
+def test_band_heights(h, w, rows, count):
+    assert [b.stop - b.start for b in _bands(0, h, w)] == [rows] * count
 
 
 @given(
@@ -449,9 +488,11 @@ def film(seed, h, w):
     st.floats(-3.0, 3.0),
     st.booleans(),
 )
-# films wide enough for bands of fewer than _BAND_ROWS rows, and of one row
-@example(1, 2 * _BAND_ROWS + 3, 1500, -7.0, 0.05, 0.0, False)
+# films wide enough for bands of fewer than ROWS_AT_1024 rows, and of one row,
+# and one 512 px wide, a resize output's width, in bands of 2 * ROWS_AT_1024 rows
+@example(1, 2 * ROWS_AT_1024 + 3, 1500, -7.0, 0.05, 0.0, False)
 @example(2, 3, _BAND_PIXELS + 1, 13.0, 0.1, -0.2, True)
+@example(7, 4 * ROWS_AT_1024 + 3, 512, 5.0, -0.1, 0.02, True)
 def test_augment_equals_whole_image_sampler(seed, h, w, rotation, shift_x, shift_y, hflip):
     img = film(seed, h, w)
     # shifts of up to three film sizes push the whole film off the image
@@ -479,7 +520,9 @@ def test_augment_far_shifts_equal_whole_image_sampler(seed, h, w, rotation, shif
 
 @pytest.mark.parametrize(
     "rotation, shift_x, shift_y",
-    [(0.0, 1e300, 0.0), (0.0, 0.0, -1e300), (33.0, 1e308, -1e308), (-90.0, 1.7e308, 1.7e308), (0.0, 1e19, 0.0)],
+    [(0.0, 1e300, 0.0), (0.0, 0.0, -1e300), (33.0, 1e308, -1e308), (-90.0, 1.7e308, 1.7e308), (0.0, 1e19, 0.0),
+     # finite terms whose sum overflows each sample point to inf
+     (45.0, 1.7e308, -1.7e308)],
 )
 def test_augment_far_out_of_image_reads_zero_without_warnings(rotation, shift_x, shift_y):
     img = film(5, 20, 33)
@@ -494,22 +537,40 @@ def test_augment_far_out_of_image_reads_zero_without_warnings(rotation, shift_x,
 
 @given(
     st.integers(0, 2**32 - 1),
-    # 3 * _BAND_ROWS + 1 rows in one or two tile rows put a slab boundary inside a tile
-    HEIGHTS | st.just(3 * _BAND_ROWS + 1),
+    # 3 * ROWS_AT_1024 + 1 rows in one or two tile rows put a slab boundary inside a tile
+    HEIGHTS | st.just(3 * ROWS_AT_1024 + 1),
     ODD_WIDTHS,
     # 0 stands for one tile per pixel column
     st.integers(0, 8),
     st.integers(1, 8),
     st.one_of(st.just(math.inf), st.sampled_from((0.5, 2.0, 40.0, 1e-9, 1e300)), st.floats(0.01, 100.0)),
 )
-@example(3, 3 * _BAND_ROWS + 1, 1500, 7, 1, math.inf)
+@example(3, 3 * ROWS_AT_1024 + 1, 1500, 7, 1, math.inf)
 @example(4, 3, _BAND_PIXELS + 1, 5, 2, 2.0)
+# 512 px wide: the band boundary at row 2 * ROWS_AT_1024 falls inside the
+# second of two tile rows, and of one
+@example(8, 3 * ROWS_AT_1024 + 1, 512, 8, 2, 2.0)
+@example(9, 3 * ROWS_AT_1024 + 1, 512, 3, 1, math.inf)
 def test_clahe_equals_whole_image_blend(seed, h, w, tiles_x, tiles_y, clip_limit):
     img = film(seed, h, w)
     tiles_x = min(tiles_x, w) or w
-    tiles_y = min(tiles_y, h) if h != 3 * _BAND_ROWS + 1 else 1 + tiles_y % 2
+    tiles_y = min(tiles_y, h) if h != 3 * ROWS_AT_1024 + 1 else 1 + tiles_y % 2
     got = clahe(img, tiles_x=tiles_x, tiles_y=tiles_y, clip_limit=clip_limit)
     assert got.tobytes() == whole_image_clahe(img, tiles_x, tiles_y, clip_limit).tobytes()
+
+
+@pytest.mark.parametrize("clip_limit", [255.9, 256.0, 256.0000001, 1e300, 1e308, math.inf])
+@pytest.mark.parametrize("tiles", [(1, 1), (3, 2), (8, 8)])
+def test_clahe_limits_near_and_past_256_equal_the_two_branch_oracle(clip_limit, tiles):
+    # from 256 up the ceiling is a tile's pixel count and clips nothing; the
+    # oracle skips clipping only at inf, and overflows to an inf ceiling at 1e308
+    img = film(12, 45, 37)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = clahe(img, *tiles, clip_limit=clip_limit)
+    assert got.tobytes() == whole_image_clahe(img, *tiles, clip_limit).tobytes()
+    if clip_limit >= 256.0:
+        assert got.tobytes() == whole_image_clahe(img, *tiles, math.inf).tobytes()
 
 
 def test_clahe_at_the_tile_cap_equals_the_per_tile_oracle():
@@ -530,8 +591,9 @@ def test_clahe_at_the_tile_cap_equals_the_per_tile_oracle():
     # |k| times as large; their sample points fall on pixel centers or midway between them
     st.none() | st.tuples(*[st.sampled_from((-4, -3, -2, 1, 2, 3, 4))] * 2),
 )
-@example(5, 5, 17, 2 * _BAND_ROWS + 3, 1500, None)
+@example(5, 5, 17, 2 * ROWS_AT_1024 + 3, 1500, None)
 @example(6, 2, 3, 3, _BAND_PIXELS + 1, None)
+@example(10, 7, 9, 4 * ROWS_AT_1024 + 3, 512, None)
 def test_resize_equals_whole_image_gather(seed, h, w, out_h, out_w, factors):
     if factors:
         fy, fx = factors
