@@ -41,7 +41,7 @@ CLI_RUNS = (
     *(("nms-raw", f"nms shard{s}.csv --mode {mode} --out out.csv")
       for s in (0, 1) for mode in ("hard", "soft-linear", "soft-gaussian")),
     *(("detect-image", f"preprocess film{s}.pgm {flags} --out out.pgm") for s in (0, 1) for flags in PREPROCESS_FLAGS),
-    ("detect-image", "anchors --grid 7x5 --scales 1,2"),
+    ("detect-image", "anchors --grid 7x5 --scales 1,2 --out out.csv"),
 )
 RUN_CLI = "import sys; from cxrdet.cli import main; sys.exit(main())"
 
@@ -50,12 +50,11 @@ def cli_digest(src: Path, work: Path, command: str) -> str:
     """Run ``cxrdet command`` from ``src`` in ``work``: its exit code and one
     digest of stdout, stderr and the bytes of the file named by ``--out``."""
     argv = command.split()
-    out = work / argv[argv.index("--out") + 1] if "--out" in argv else None
-    if out is not None:
-        out.unlink(missing_ok=True)
+    out = work / argv[argv.index("--out") + 1]
+    out.unlink(missing_ok=True)
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], cwd=work, env=env, capture_output=True)
-    written = out.read_bytes() if out is not None and out.exists() else None
+    written = out.read_bytes() if out.exists() else None
     return f"exit {done.returncode} " + hashlib.sha1(repr((done.stdout, done.stderr, written)).encode()).hexdigest()
 
 
