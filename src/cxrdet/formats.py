@@ -21,9 +21,14 @@ Labels CSV (binary per-image truth and prediction, for ``cxrdet classify``)::
 
 Boxes in the first two use the (x, y, width, height) convention and are
 converted to corner form here, at the boundary, by ``Box.from_xywh``, so
-everything downstream speaks a single convention. Unknown or missing
-columns are an error, LF and CRLF both parse, and floats are written with
-``repr`` so read(write(x)) round-trips bit-exactly.
+everything downstream speaks a single convention. Box rows are read in bulk:
+every token goes through ``float`` and every box through ``Box.from_xywh``
+in one pass, with no separate finiteness pass, because ``Box`` and
+``Detection`` refuse every nan and inf. A row that raises anywhere is read
+again token by token, so its error names the first bad token, confidence or
+box in row order. Unknown or missing columns are an error, LF and CRLF
+both parse, and floats are written with ``repr`` so read(write(x))
+round-trips bit-exactly.
 
 All three CSVs are read by one row loop: it checks the header and the field
 count, strips the patient id and refuses an empty one, and turns any row
@@ -257,8 +262,11 @@ def _ground_truth_row(patient_id: str, fields: list[str]) -> GtRecord:
         return GtRecord(patient_id, None, 0)
     if not all(box_fields):
         raise ValueError("target 1 rows need all four box fields")
-    x, y, w, h = (_parse_real(f, name) for f, name in zip(box_fields, "xywh"))
-    return GtRecord(patient_id, Box.from_xywh(x, y, w, h), 1)
+    try:
+        box = Box.from_xywh(*map(float, box_fields))
+    except ValueError:  # a non-numeric, non-finite or negative field: find the first in order
+        box = Box.from_xywh(*(_parse_real(f, name) for f, name in zip(box_fields, "xywh")))
+    return GtRecord(patient_id, box, 1)
 
 
 def read_ground_truth(text: str) -> list[GtRecord]:
@@ -281,22 +289,27 @@ def _predictions_row(patient_id: str, fields: list[str]) -> PredRecord:
     tokens = fields[0].split()
     if len(tokens) % 5:
         raise ValueError(f"prediction string must hold conf x y w h quintuples, got {len(tokens)} tokens")
+    reals = map(float, tokens)
     try:
-        values = list(map(float, tokens))
+        # Box and Detection refuse every nan and inf, so no token escapes a check
+        detections = tuple(Detection(Box.from_xywh(x, y, w, h), c) for c, x, y, w, h in zip(*[reals] * 5))
     except ValueError:
-        values = None
-    if values is None or not all(map(math.isfinite, values)):
-        # lazy, so a bad token raises only after every check before it in row order
-        values = (_parse_real(tok, what) for tok, what in zip(tokens, cycle(_PRED_FIELDS)))
+        detections = _ordered_detections(tokens)
+    return PredRecord(patient_id, detections)
+
+
+def _ordered_detections(tokens: list[str]) -> tuple[Detection, ...]:
+    """A prediction string's detections, each token parsed and checked in row
+    order, so the first bad token, confidence or box is the one that raises."""
+    reals = (_parse_real(tok, what) for tok, what in zip(tokens, cycle(_PRED_FIELDS)))
     detections = []
-    reals = iter(values)
     for conf in reals:
         if not 0.0 <= conf <= 1.0:
             raise ValueError(f"confidence {conf!r} outside [0, 1]")
         # pulled after conf is checked; zip(*[reals] * 5) would parse the box first
         box = Box.from_xywh(next(reals), next(reals), next(reals), next(reals))
         detections.append(Detection(box, conf))
-    return PredRecord(patient_id, tuple(detections))
+    return tuple(detections)
 
 
 def read_predictions(text: str) -> list[PredRecord]:

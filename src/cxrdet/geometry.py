@@ -16,7 +16,7 @@ __all__ = ["Box", "area", "intersection_area", "iou", "corners", "clip_corners",
            "iou_matrix"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Box:
     """Axis-aligned rectangle. Zero-area boxes are allowed; negative
     extents and non-finite coordinates are rejected."""
@@ -26,10 +26,16 @@ class Box:
     x_max: float
     y_max: float
 
-    def __post_init__(self):
-        if -math.inf < self.x_min <= self.x_max < math.inf and -math.inf < self.y_min <= self.y_max < math.inf:
+    # written out rather than generated, so a box is built in one call frame
+    def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float):
+        setattr_ = object.__setattr__
+        setattr_(self, "x_min", x_min)
+        setattr_(self, "y_min", y_min)
+        setattr_(self, "x_max", x_max)
+        setattr_(self, "y_max", y_max)
+        if -math.inf < x_min <= x_max < math.inf and -math.inf < y_min <= y_max < math.inf:
             return  # the common case in one pass; else a value is not finite or an extent is negative
-        for v in (self.x_min, self.y_min, self.x_max, self.y_max):
+        for v in (x_min, y_min, x_max, y_max):
             if not math.isfinite(v):
                 raise ValueError(f"box coordinates must be finite: {self!r}")
         raise ValueError(f"box extents must be non-negative: {self!r}")

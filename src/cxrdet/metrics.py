@@ -12,6 +12,18 @@ Whether an overlap passes a threshold is decided in one place, the bisect
 that counts an image's failing overlaps; a walk is handed the least passing
 overlap and takes any best overlap that reaches it.
 
+Overlaps are batched. ``score_dataset`` runs images together up to a budget
+of pairs and takes every (prediction, ground truth) overlap of a run in one
+``iou_columns`` pass over pair columns built by ``np.repeat``; an image over
+the budget alone goes in bands of prediction rows, so temporaries stay
+bounded for any input, and each image reads its rows as slices of one flat
+list. ``match_boxes`` and ``average_precision`` are one-image runs of the
+same path. Overlaps come from float64 corners, as in ``nms`` and
+``label_anchors``, so they equal ``iou`` bit for bit on float coordinates.
+On Python int coordinates ``iou`` computes exactly, so the two can differ
+in the last bit once a coordinate or an area passes 2**53, and a coordinate
+too large for any float raises OverflowError here.
+
 Also here: binary-classification confusion metrics, seeded k-fold
 splitting, and pointwise loss evaluation (smooth L1, binary cross-entropy,
 and their weighted combination).
@@ -21,9 +33,12 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
 
 from .formats import ScoreReport, ThresholdCounts, validate_thresholds
-from .geometry import iou
+from .geometry import box_columns, corners, iou, iou_columns  # noqa: F401  (bench/tracing.py wraps iou here)
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
@@ -45,6 +60,10 @@ __all__ = [
 
 DEFAULT_THRESHOLDS = (0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75)
 MAX_THRESHOLDS = 1000  # the most a lo:hi:step range may hold
+
+# (prediction, ground truth) pairs per iou_columns pass: a run's temporaries
+# stay a few dozen KB however many images are scored
+_PAIR_BUDGET = 2048
 
 
 def threshold_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
@@ -77,23 +96,71 @@ class MatchResult:
     matched_pairs: tuple[tuple[int, int, float], ...]
 
 
-def _match(preds, gt, ts, inclusive) -> list[MatchResult]:
+def _overlaps(images):
+    """Yield (preds, gt, overlaps) for each (preds, gt) image: prediction i's
+    overlaps are ``overlaps[i * m:(i + 1) * m]``, and there are none when a
+    side is empty.
+
+    Images run together until the next would take the run past _PAIR_BUDGET
+    pairs, and each run is one iou_columns pass; an image over the budget
+    alone is passed in bands of as many prediction rows as fit, at least one.
+    """
+    run, pairs = [], 0
+    for preds, gt in images:
+        size = len(preds) * len(gt)
+        if pairs + size > _PAIR_BUDGET:
+            yield from _run_overlaps(run)
+            run, pairs = [], 0
+        if size <= _PAIR_BUDGET:
+            run.append((preds, gt))
+            pairs += size
+            continue
+        step = max(1, _PAIR_BUDGET // len(gt))
+        bands = (_run_overlaps([(preds[r0 : r0 + step], gt)])[0][2] for r0 in range(0, len(preds), step))
+        yield preds, gt, [v for band in bands for v in band]
+    yield from _run_overlaps(run)
+
+
+def _run_overlaps(run) -> list:
+    """(preds, gt, overlaps) for each image of a run, every overlap of the
+    run taken in one iou_columns pass over pair columns built by np.repeat."""
+    live = [(preds, gt) for preds, gt in run if preds and gt]
+    if not live:
+        return [(preds, gt, []) for preds, gt in run]
+    n = np.array([len(preds) for preds, _ in live])
+    m = np.array([len(gt) for _, gt in live])
+    per_pred = np.repeat(m, n)  # each prediction's row length
+    pair_starts = np.cumsum(per_pred) - per_pred
+    gt_starts = np.repeat(np.cumsum(m) - m, n)
+    pred_index = np.repeat(np.arange(len(per_pred)), per_pred)
+    gt_index = np.arange(len(pred_index)) + np.repeat(gt_starts - pair_starts, per_pred)
+    a = box_columns(corners(d.box for preds, _ in live for d in preds))
+    b = box_columns(corners(g for _, gt in live for g in gt))
+    with np.errstate(all="ignore"):  # huge boxes overflow to inf and nan, as in iou
+        flat = iter(iou_columns(a[:, pred_index], b[:, gt_index]).tolist())
+    return [(preds, gt, list(islice(flat, len(preds) * len(gt)))) for preds, gt in run]
+
+
+def _match(preds, gt, ts, inclusive, overlaps=None) -> list[MatchResult]:
     """Greedy matching at every threshold in ``ts``, one MatchResult each.
 
-    Predictions are sorted once and each prediction/ground-truth IoU is
-    computed once. A walk depends on a threshold only through which overlaps
-    pass it, so thresholds that no positive overlap separates share one walk,
-    and a band that no overlap passes needs none.
+    Predictions are sorted once, and ``overlaps``, the image's rows from
+    :func:`_overlaps` (computed here when not given), are read as slices. A
+    walk depends on a threshold only through which overlaps pass it, so
+    thresholds that no positive overlap separates share one walk, and a band
+    that no overlap passes needs none.
     """
     n, m = len(preds), len(gt)
     if not n or not m:
         return [MatchResult(0, n, m, ())] * len(ts)
+    if overlaps is None:
+        overlaps = next(_overlaps([(preds, gt)]))[2]
     neg_scores = [-p.score for p in preds]
     order = sorted(range(n), key=neg_scores.__getitem__)  # stable: ties keep input order
-    rows = [(pi, [iou(preds[pi].box, g) for g in gt]) for pi in order]
+    rows = [(pi, overlaps[pi * m : (pi + 1) * m]) for pi in order]
     # a walk only ever takes an overlap above 0.0, so nan (which fails every
     # comparison, and would break sorting) never counts
-    positive = sorted([v for _, overlaps in rows for v in overlaps if v > 0.0])
+    positive = sorted([v for v in overlaps if v > 0.0])
     # the pass rule, stated only here: the overlaps that fail t are those <= t,
     # or those < t when inclusive, and the rest, positive[failing:], pass
     count_failing = bisect_left if inclusive else bisect_right
@@ -142,13 +209,12 @@ def match_boxes(preds, gt, t: float, *, inclusive: bool = False) -> MatchResult:
     return _match(list(preds), list(gt), validate_thresholds((t,)), inclusive)[0]
 
 
-def _score_image(preds, gt, ts, inclusive):
+def _score_image(preds, gt, ts, inclusive, overlaps=None):
     """One image's (score, [(tp, fp, fn) per threshold]); the score is None
     when the image has neither predictions nor ground truth."""
-    preds, gt = list(preds), list(gt)
     if not preds and not gt:
         return None, [(0, 0, 0)] * len(ts)
-    matches = _match(preds, gt, ts, inclusive)
+    matches = _match(preds, gt, ts, inclusive, overlaps)
     score = sum(m.tp / (m.tp + m.fp + m.fn) for m in matches) / len(ts)
     return score, [(m.tp, m.fp, m.fn) for m in matches]
 
@@ -161,7 +227,7 @@ def average_precision(preds, gt, thresholds=DEFAULT_THRESHOLDS, *, inclusive: bo
     predictions but nothing to find.
     """
     ts = validate_thresholds(thresholds)
-    return _score_image(preds, gt, ts, inclusive)[0]
+    return _score_image(list(preds), list(gt), ts, inclusive)[0]
 
 
 def mean_average_precision(per_image) -> float:
@@ -192,7 +258,8 @@ def score_dataset(
     if workers < 1:
         raise ValueError(f"workers must be at least 1: {workers!r}")
     ids = sorted(set(gt_boxes) | set(predictions))
-    results = [_score_image(predictions.get(i, ()), gt_boxes.get(i, ()), ts, inclusive) for i in ids]
+    images = ((list(predictions.get(i, ())), list(gt_boxes.get(i, ()))) for i in ids)
+    results = [_score_image(preds, gt, ts, inclusive, overlaps) for preds, gt, overlaps in _overlaps(images)]
     per_image = tuple((image_id, score) for image_id, (score, _) in zip(ids, results))
     totals = [[0, 0, 0] for _ in ts]
     for _, counts in results:

@@ -5,7 +5,8 @@ marks a detection that has left: repeatedly move the highest-scoring
 detection still in it to the output, then rescale the scores of its live
 same-class rivals by a decay factor that depends on their overlap with the
 box just kept, one IoU row at a time over corner columns and areas taken
-once per call:
+once per call (below ``_MATRIX_BELOW`` detections each row is read from one
+IoU matrix built per call, the same ``iou_columns`` arithmetic):
 
     hard           s * [iou <= Nt]          (0/1 pruning)
     soft-linear    s * (1 - iou)   if iou > Nt, else unchanged
@@ -34,8 +35,13 @@ SOFT_GAUSSIAN = "soft-gaussian"
 
 _MODES = (HARD, SOFT_LINEAR, SOFT_GAUSSIAN)
 
+# below this many detections every IoU row is read from one matrix built per
+# call, which costs fewer numpy calls per pick; at and above it each pick
+# computes its own row, so the work stays linear in memory
+_MATRIX_BELOW = 128
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Detection:
     """A scored box, optionally tagged with a class id."""
 
@@ -43,9 +49,14 @@ class Detection:
     score: float
     class_id: int | None = None
 
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:  # nan and the infinities fail it too
-            raise ValueError(f"detection score must be in [0, 1]: {self.score!r}")
+    # written out rather than generated, as Box's is, so a detection is built in one call frame
+    def __init__(self, box: Box, score: float, class_id: int | None = None):
+        if not 0.0 <= score <= 1.0:  # nan and the infinities fail it too
+            raise ValueError(f"detection score must be in [0, 1]: {score!r}")
+        setattr_ = object.__setattr__
+        setattr_(self, "box", box)
+        setattr_(self, "score", score)
+        setattr_(self, "class_id", class_id)
 
 
 @dataclass(frozen=True)
@@ -114,6 +125,7 @@ def nms(
     kept: list[Detection] = []
     with np.errstate(all="ignore"):  # huge boxes overflow to inf and nan, as in iou
         cols = box_columns(corners(d.box for d in dets))
+        matrix = iou_columns(cols[:, :, None], cols[:, None, :]) if len(dets) < _MATRIX_BELOW else None
         while len(kept) < limit:
             best = int(scores.argmax())  # first maximum: lowest input index
             score = scores.item(best)
@@ -125,7 +137,10 @@ def nms(
             if classes is not None:
                 live &= classes == classes[best]
             rivals = live.nonzero()[0]
-            overlap = iou_columns(cols[:, best].tolist(), cols.take(rivals, axis=1))
+            if matrix is None:
+                overlap = iou_columns(cols[:, best].tolist(), cols.take(rivals, axis=1))
+            else:
+                overlap = matrix[best].take(rivals)
             rivals, factor = cfg._decay(rivals, overlap)
             decayed = scores[rivals] * factor
             scores[rivals] = np.where(decayed < cutoff, -math.inf, decayed)

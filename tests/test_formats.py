@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -72,6 +73,25 @@ class TestGroundTruth:
     def test_malformed_inputs(self, text, fragment):
         with pytest.raises(FormatError, match=fragment):
             read_ground_truth(text)
+
+    @pytest.mark.parametrize("fields, message", [
+        # every field is parsed before the extents are checked
+        ("1,1,-5,nan", "line 3: h must be finite, got 'nan'"),
+        ("1,1,-5,x", "line 3: non-numeric h 'x'"),
+        ("inf,1,-5,1", "line 3: x must be finite, got 'inf'"),
+        ("1,-1e309,1,1", "line 3: y must be finite, got '-1e309'"),
+        ("1,1,1,-inf", "line 3: h must be finite, got '-inf'"),
+        ("1,1,-5,-4", "line 3: negative box extent -5.0"),
+        ("1,1,5,-4", "line 3: negative box extent -4.0"),
+    ])
+    def test_first_bad_field_in_order(self, fields, message):
+        with pytest.raises(FormatError) as info:
+            read_ground_truth(f"{GT_HEADER}\np1,1,1,1,1,1\np1,{fields},1\n")
+        assert str(info.value) == message
+
+    def test_negative_zero_extent_accepted(self):
+        records = read_ground_truth(f"{GT_HEADER}\np1,1,2,-0.0,-0.0,1\n")
+        assert records == [GtRecord("p1", Box(1.0, 2.0, 1.0, 2.0), 1)]
 
     def test_overflowing_corner_names_the_line(self):
         with pytest.raises(FormatError) as info:
@@ -231,6 +251,47 @@ class TestBulkParsedPredictions:
         text = f"patientId,PredictionString\np1,0.9 1 1 1 1\np2,{row}\n"
         assert read_outcome(read_predictions, text) == (FormatError, message)
         assert read_outcome(token_by_token_read_predictions, text) == (FormatError, message)
+
+    @pytest.mark.parametrize("row, message", [
+        # x + w overflows only in a later quintuple, after a valid one
+        ("0.5 1 2 3 4 0.5 1e308 0 1e308 1",
+         "line 3: box coordinates must be finite: Box(x_min=1e+308, y_min=0.0, x_max=inf, y_max=1.0)"),
+        ("0.5 1 2 3 4 0.5 0 -1e308 1 -1e308", "line 3: negative box extent -1e+308"),
+        # a bad confidence precedes a negative width, in one quintuple or an earlier one
+        ("1.5 1 2 -3 4", "line 3: confidence 1.5 outside [0, 1]"),
+        ("0.5 1 2 3 4 -0.5 1 2 -3 4", "line 3: confidence -0.5 outside [0, 1]"),
+        ("0.5 1 2 3 4 1.5 1 2 3 4 0.5 1 2 -3 4", "line 3: confidence 1.5 outside [0, 1]"),
+        # a negative width precedes a bad confidence
+        ("0.5 1 2 -3 4 1.5 1 2 3 4", "line 3: negative box extent -3.0"),
+    ])
+    def test_crafted_rows(self, row, message):
+        text = f"patientId,PredictionString\np1,0.9 1 1 1 1\np2,{row}\n"
+        assert read_outcome(read_predictions, text) == (FormatError, message)
+        assert read_outcome(token_by_token_read_predictions, text) == (FormatError, message)
+
+    @pytest.mark.parametrize("token", ["nan", "-nan", "inf", "-inf", "Infinity", "1e309", "-1e309"])
+    @pytest.mark.parametrize("position", range(5))
+    def test_non_finite_token_in_each_field(self, token, position):
+        tokens = ["0.5", "1", "2", "3", "4"]
+        tokens[position] = token
+        text = f"patientId,PredictionString\np1,0.9 1 1 1 1 {' '.join(tokens)} 1.5 1 1 1 1\n"
+        what = ("confidence", "x", "y", "w", "h")[position]
+        message = f"line 2: {what} must be finite, got {token!r}"
+        assert read_outcome(read_predictions, text) == (FormatError, message)
+        assert read_outcome(token_by_token_read_predictions, text) == (FormatError, message)
+
+    @pytest.mark.parametrize("row, box", [
+        ("0.5 1 2 -0.0 4", Box(1.0, 2.0, 1.0, 6.0)),
+        ("0.5 1 2 3 -0.0", Box(1.0, 2.0, 4.0, 2.0)),
+        ("0.5 -0.0 -0.0 -0.0 -0.0", Box(-0.0, -0.0, -0.0, -0.0)),
+    ])
+    def test_negative_zero_extent_accepted(self, row, box):
+        text = f"patientId,PredictionString\np1,{row}\n"
+        records = read_predictions(text)
+        assert records == token_by_token_read_predictions(text) == [PredRecord("p1", (Detection(box, 0.5),))]
+        got = records[0].detections[0].box
+        signs = [math.copysign(1.0, v) for b in (got, box) for v in (b.x_min, b.y_min, b.x_max, b.y_max)]
+        assert signs[:4] == signs[4:]
 
 
 class TestStrictQuoting:

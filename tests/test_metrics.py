@@ -1,5 +1,7 @@
+import importlib
 import math
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -27,6 +29,8 @@ from cxrdet.geometry import iou
 from cxrdet.metrics import MAX_THRESHOLDS, _match, validate_thresholds
 from helpers import random_positive_box
 from oracles import greedy_consistent_assignments, per_threshold_match
+
+metrics_module = importlib.import_module("cxrdet.metrics")
 
 
 def det(box, score):
@@ -198,6 +202,143 @@ class TestBandedMatching:
         preds = [det(Box(0, 0, 4, 4), 0.5)] * n
         gt = [Box(0, 0, 4, 4)] * m
         assert _match(preds, gt, DEFAULT_THRESHOLDS, False) == [MatchResult(0, n, m, ())] * 8
+
+
+zero_area_boxes = st.sampled_from([Box(2, 2, 2, 2), Box(0, 0, 0, 4), Box(1, 3, 5, 3)])
+# areas of inf: (1e308 - -1e308) overflows, and so does 1e300 * 1e300
+overflowing_boxes = st.sampled_from([Box(-1e308, 0.0, 1e308, 1.0), Box(-1e308, -1e308, 1e308, 1e308)])
+scored_boxes = st.one_of(grid_boxes, grid_boxes, huge_boxes, zero_area_boxes, overflowing_boxes)
+
+
+@st.composite
+def datasets(draw):
+    """(gt_boxes, predictions) maps over a few images; an image may appear in
+    one map only, or in both with either side empty."""
+    gt_boxes, predictions = {}, {}
+    for i in range(draw(st.integers(0, 7))):
+        where = draw(st.sampled_from(("both", "both", "gt", "preds")))
+        if where != "preds":
+            gt_boxes[f"p{i}"] = draw(st.lists(scored_boxes, max_size=5))
+        if where != "gt":
+            predictions[f"p{i}"] = draw(st.lists(st.builds(det, scored_boxes, tied_scores), max_size=7))
+    return gt_boxes, predictions
+
+
+def per_image_oracle(gt_boxes, predictions, ts, inclusive):
+    """Per-image scores and per-threshold [tp, fp, fn] totals from one full
+    walk per threshold and image, with overlaps from the scalar iou."""
+    per_image, totals = [], [[0, 0, 0] for _ in ts]
+    for pid in sorted(set(gt_boxes) | set(predictions)):
+        preds, gt = list(predictions.get(pid, ())), list(gt_boxes.get(pid, ()))
+        if not preds and not gt:
+            per_image.append((pid, None))
+            continue
+        matches = per_threshold_match(preds, gt, ts, inclusive)
+        per_image.append((pid, sum(m.tp / (m.tp + m.fp + m.fn) for m in matches) / len(ts)))
+        for total, m in zip(totals, matches):
+            total[0] += m.tp
+            total[1] += m.fp
+            total[2] += m.fn
+    return per_image, totals
+
+
+def pass_sizes(budget, run):
+    """Run ``run()`` with the pair budget set to ``budget``; its result and the
+    number of pairs in each iou_columns pass."""
+    sizes = []
+    iou_columns = metrics_module.iou_columns
+
+    def counted(a, b):
+        sizes.append(a.shape[1])
+        return iou_columns(a, b)
+
+    with patch.object(metrics_module, "_PAIR_BUDGET", budget), patch.object(metrics_module, "iou_columns", counted):
+        return run(), sizes
+
+
+class TestBatchedOverlaps:
+    """score_dataset takes every overlap of a run of images in one pass, runs
+    cut by a pair budget; whatever the budget, it equals one walk per
+    threshold over the scalar iou of each image on its own."""
+
+    @given(datasets(), threshold_sets, st.booleans(), st.sampled_from((1, 2, 3, 5, 8, 2048)))
+    def test_equals_the_per_image_oracle(self, data, ts, inclusive, budget):
+        gt_boxes, predictions = data
+        report, sizes = pass_sizes(budget, lambda: score_dataset(gt_boxes, predictions, ts, inclusive=inclusive))
+        per_image, totals = per_image_oracle(gt_boxes, predictions, ts, inclusive)
+        assert report.per_image == tuple(per_image)
+        assert [(c.tp, c.fp, c.fn) for c in report.counts] == [tuple(t) for t in totals]
+        widest = max((len(g) for g in gt_boxes.values()), default=0)
+        assert all(0 < size <= max(budget, widest) for size in sizes)
+        pairs = sum(len(predictions.get(p, ())) * len(gt_boxes.get(p, ())) for p in set(gt_boxes) | set(predictions))
+        assert sum(sizes) == pairs
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_images_split_across_runs(self, inclusive):
+        rng = random.Random(79)
+        gt_boxes, predictions = {}, {}
+        for i, (n, m) in enumerate([(2, 2), (1, 3), (0, 2), (3, 0), (2, 1), (4, 1), (1, 1), (0, 0)]):
+            gt_boxes[f"p{i}"] = [random_positive_box(rng, hi=20, min_side=2) for _ in range(m)]
+            predictions[f"p{i}"] = [det(random_positive_box(rng, hi=20, min_side=2), round(rng.random(), 1))
+                                    for _ in range(n)]
+        ts = (0.1, 0.3, 0.5)
+        report, sizes = pass_sizes(5, lambda: score_dataset(gt_boxes, predictions, ts, inclusive=inclusive))
+        # a run closes before the image that would take it past 5 pairs: 4 | 3 + 0 + 0 + 2 | 4 + 1 + 0
+        assert sizes == [4, 5, 5]
+        per_image, totals = per_image_oracle(gt_boxes, predictions, ts, inclusive)
+        assert report.per_image == tuple(per_image)
+        assert [(c.tp, c.fp, c.fn) for c in report.counts] == [tuple(t) for t in totals]
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_one_image_banded_by_rows(self, inclusive):
+        rng = random.Random(83)
+        gt = [random_positive_box(rng, hi=30, min_side=3) for _ in range(3)]
+        preds = [det(random_positive_box(rng, hi=30, min_side=3), round(rng.random(), 1)) for _ in range(7)]
+        preds += [det(g, 0.5) for g in gt]  # exact copies, so some overlaps pass every threshold
+        ts = (0.2, 0.5, 0.8)
+        for run in (lambda: score_dataset({"a": gt, "b": gt[:1]}, {"a": preds, "b": preds[:1]}, ts,
+                                          inclusive=inclusive),
+                    lambda: _match(preds, gt, ts, inclusive)):
+            result, sizes = pass_sizes(7, run)
+            # 10 x 3 pairs over a budget of 7: bands of 2 rows, then the next image
+            assert sizes[:5] == [6, 6, 6, 6, 6]
+        assert result == per_threshold_match(preds, gt, ts, inclusive)
+        report, _ = pass_sizes(7, lambda: score_dataset({"a": gt}, {"a": preds}, ts, inclusive=inclusive))
+        assert report.per_image == tuple(per_image_oracle({"a": gt}, {"a": preds}, ts, inclusive)[0])
+
+    def test_one_row_wider_than_the_budget(self):
+        gt = [Box(k, 0, k + 2, 2) for k in range(6)]
+        preds = [det(Box(1, 0, 3, 2), 0.9), det(Box(4, 0, 6, 2), 0.8)]
+        result, sizes = pass_sizes(4, lambda: _match(preds, gt, DEFAULT_THRESHOLDS, False))
+        assert sizes == [6, 6]
+        assert result == per_threshold_match(preds, gt, DEFAULT_THRESHOLDS, False)
+
+    def test_integer_coordinates_past_2_53_are_taken_as_floats(self):
+        # the documented edge: as in nms and label_anchors, overlaps come from
+        # float64 corners, so ints that a float cannot hold are rounded first
+        # (here both widths become 2**53); the scalar iou takes them exactly
+        pred, gt = Box(0, 0, 2**53 + 1, 1), Box(0, 0, 2**53, 1)
+        t = iou(pred, gt)
+        assert t == 2**53 / (2**53 + 1) == 1 - 2**-53
+        preds = [det(pred, 0.9)]
+        assert match_boxes(preds, [gt], t).matched_pairs == ((0, 0, 1.0),)
+        assert per_threshold_match(preds, [gt], (t,), False)[0].tp == 0
+        report = score_dataset({"a": [gt]}, {"a": preds}, (0.5, t))
+        assert [(c.tp, c.fp, c.fn) for c in report.counts] == [(1, 0, 0), (1, 0, 0)]
+
+    def test_integer_areas_past_2_53_are_taken_as_floats(self):
+        # small int coordinates, but an area past 2**53: the scalar iou multiplies
+        # exactly, the float64 overlap rounds, and the two differ in the last bit
+        k = 2**27
+        pred, gt = Box(0, 0, k + 1, k + 1), Box(1, 0, k + 1, k + 3)
+        as_floats = [Box(*(float(v) for v in (b.x_min, b.y_min, b.x_max, b.y_max))) for b in (pred, gt)]
+        assert iou(*as_floats) != iou(pred, gt)
+        assert match_boxes([det(pred, 0.9)], [gt], 0.5).matched_pairs == ((0, 0, iou(*as_floats)),)
+
+    def test_integer_too_large_for_a_float_overflows(self):
+        # as in nms: corners refuses it; the scalar iou would take it exactly
+        with pytest.raises(OverflowError):
+            score_dataset({"a": [Box(0, 0, 10**400, 1)]}, {"a": [det(Box(0, 0, 1, 1), 0.5)]})
 
 
 class TestAveragePrecision:

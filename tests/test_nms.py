@@ -1,12 +1,17 @@
+import importlib
 import math
 import random
 import warnings
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxrdet import HARD, SOFT_GAUSSIAN, SOFT_LINEAR, Box, Detection, NmsConfig, iou, nms
+from cxrdet.nms import _MATRIX_BELOW
+
+nms_module = importlib.import_module("cxrdet.nms")  # the package's own name nms is the function
 from helpers import random_detections
 from oracles import brute_force_hard_nms, scalar_nms
 
@@ -234,3 +239,43 @@ class TestMaxKeep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert len(nms(dets, NmsConfig(mode=mode))) >= 1
+
+
+@st.composite
+def detections_near_the_switch(draw):
+    """Crowded detections, as many as the matrix switch or a few either side
+    of it, with class ids mixed or shared."""
+    n = draw(st.integers(_MATRIX_BELOW - 4, _MATRIX_BELOW + 4))
+    classes = draw(st.sampled_from(((None,), (0, 1), (None, 0, 1))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_detections(rng, n, hi=48, classes=classes)
+
+
+class TestRowSources:
+    """Below _MATRIX_BELOW detections each IoU row is read from one matrix per
+    call, at and above it computed per pick; either way the walk is the same."""
+
+    @settings(max_examples=30)
+    @given(
+        detections_near_the_switch(),
+        st.sampled_from((HARD, SOFT_LINEAR, SOFT_GAUSSIAN)),
+        st.sampled_from((0.0, 0.001, 0.3)),
+        st.sampled_from((None, 0, 1, 50, _MATRIX_BELOW)),
+    )
+    def test_both_sides_of_the_switch_equal_the_scalar_loop(self, dets, mode, cutoff, max_keep):
+        out = nms(dets, NmsConfig(mode, 0.5, 0.5, cutoff), max_keep=max_keep)
+        ref = scalar_nms(triples(dets), mode, 0.5, 0.5, cutoff)[:max_keep]
+        assert [(id(d.box), d.score.hex(), d.class_id) for d in out] == [
+            (id(dets[i].box), score.hex(), dets[i].class_id) for i, score in ref
+        ]
+
+    @given(crowded_detections(), st.sampled_from((HARD, SOFT_LINEAR, SOFT_GAUSSIAN)), st.booleans())
+    def test_matrix_rows_equal_per_pick_rows(self, dets, mode, huge):
+        if huge:  # overlaps of inf and nan
+            dets = dets + [det(-1e300, -1e300, 1e300, 1e300, 0.9), det(-1e300, 0, 1e300, 1e300, 0.8)]
+        cfg = NmsConfig(mode=mode)
+        outs = []
+        for below in (0, len(dets) + 1):
+            with patch.object(nms_module, "_MATRIX_BELOW", below):
+                outs.append([(id(d.box), d.score.hex(), d.class_id) for d in nms(dets, cfg)])
+        assert outs[0] == outs[1]
