@@ -35,6 +35,7 @@ from .formats import (
     read_ground_truth,
     read_ids,
     read_labels,
+    read_prediction_table,
     read_predictions,
     write_csv,
     write_json_object,
@@ -101,7 +102,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_score(args) -> int:
     gt = group_ground_truth(read_ground_truth(_read_text(args.gt)))
-    preds = group_predictions(read_predictions(_read_text(args.pred)))
+    preds = read_prediction_table(_read_text(args.pred))
     report = score_dataset(
         gt, preds, args.thresholds, inclusive=args.inclusive_iou, workers=args.workers
     )

@@ -20,15 +20,21 @@ Labels CSV (binary per-image truth and prediction, for ``cxrdet classify``)::
     p001,1,0
 
 Boxes in the first two use the (x, y, width, height) convention and are
-converted to corner form here, at the boundary, by ``Box.from_xywh``, so
-everything downstream speaks a single convention. Box rows are read in bulk:
-every token goes through ``float`` and every box through ``Box.from_xywh``
-in one pass, with no separate finiteness pass, because ``Box`` and
-``Detection`` refuse every nan and inf. A row that raises anywhere is read
-again token by token, so its error names the first bad token, confidence or
-box in row order. Unknown or missing columns are an error, LF and CRLF
-both parse, and floats are written with ``repr`` so read(write(x))
-round-trips bit-exactly.
+converted to corner form here, at the boundary, so everything downstream
+speaks a single convention. Ground-truth boxes go through ``Box.from_xywh``.
+Predictions have one reader, ``read_prediction_table``: it reads a file into
+a ``PredictionTable``, one (N, 5) float64 array of score, x_min, y_min,
+x_max, y_max rows with an id and a row range per CSV row, and builds no
+object per detection. Every token goes through ``float``, ``x + w`` and
+``y + h`` are numpy adds (the same IEEE adds Python makes, so a -0.0 extent
+keeps its sign), and finiteness, the confidence range, negative extents and
+an ``x + w`` that overflows are checked over the whole array at once. When
+any row fails, the text is read again and each row walked token by token in
+row order (``_ordered_detections``), so the error names the first bad
+token, confidence or box and its line. ``read_predictions`` wraps the table
+reader and builds the public ``PredRecord``s from the table's rows. Unknown
+or missing columns are an error, LF and CRLF both parse, and floats are
+written with ``repr`` so read(write(x)) round-trips bit-exactly.
 
 All three CSVs are read by one row loop: it checks the header and the field
 count, strips the patient id and refuses an empty one, and turns any row
@@ -50,8 +56,12 @@ import io
 import json
 import math
 import re
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import cycle
+from itertools import accumulate, chain, cycle
+
+import numpy as np
 
 from .geometry import Box
 from .nms import Detection
@@ -60,11 +70,14 @@ __all__ = [
     "FormatError",
     "GtRecord",
     "PredRecord",
+    "PredictionTable",
     "ThresholdCounts",
     "ScoreReport",
     "read_ground_truth",
     "write_ground_truth",
+    "read_prediction_table",
     "read_predictions",
+    "detection_rows",
     "write_predictions",
     "group_ground_truth",
     "group_predictions",
@@ -285,17 +298,65 @@ def write_ground_truth(records) -> str:
     return write_csv(GT_COLUMNS, map(_ground_truth_fields, records))
 
 
-def _predictions_row(patient_id: str, fields: list[str]) -> PredRecord:
+def detection_rows(detections) -> np.ndarray:
+    """Detections (any iterable) as an (N, 5) float64 array of score, x_min,
+    y_min, x_max, y_max rows, read in one pass; a value too large for a float
+    raises OverflowError."""
+    values = chain.from_iterable((d.score, d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in detections)
+    return np.fromiter(values, float).reshape(-1, 5)
+
+
+class PredictionTable(Mapping):
+    """Predictions as one table. ``values`` is a read-only (N, 5) float64
+    array of score, x_min, y_min, x_max, y_max rows in file order; CSV row
+    k, for patient ``ids[k]``, holds ``values[bounds[k]:bounds[k + 1]]``.
+
+    As a read-only mapping it takes a patient id, in first-appearance order,
+    to that patient's rows, with repeated CSV rows concatenated in file order
+    as :func:`group_predictions` concatenates them.
+    """
+
+    def __init__(self, values: np.ndarray, ids: list, bounds: list[int]):
+        self.values, self.ids, self.bounds = _read_only(values), ids, bounds
+        parts: dict = {}
+        for pid, start, stop in zip(ids, bounds, bounds[1:]):
+            parts.setdefault(pid, []).append(values[start:stop])
+        self._rows = {pid: rows[0] if len(rows) == 1 else _read_only(np.concatenate(rows))
+                      for pid, rows in parts.items()}
+
+    @classmethod
+    def from_detections(cls, predictions) -> "PredictionTable":
+        """A mapping of patient id -> Detections as a table, one row range per id."""
+        ids = list(predictions)
+        groups = [list(predictions[pid]) for pid in ids]
+        return cls(detection_rows(chain.from_iterable(groups)), ids, [0, *accumulate(map(len, groups))])
+
+    def __getitem__(self, patient_id) -> np.ndarray:
+        return self._rows[patient_id]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _prediction_tokens(patient_id: str, fields: list[str]) -> tuple[str, list[str]]:
     tokens = fields[0].split()
     if len(tokens) % 5:
         raise ValueError(f"prediction string must hold conf x y w h quintuples, got {len(tokens)} tokens")
-    reals = map(float, tokens)
-    try:
-        # Box and Detection refuse every nan and inf, so no token escapes a check
-        detections = tuple(Detection(Box.from_xywh(x, y, w, h), c) for c, x, y, w, h in zip(*[reals] * 5))
-    except ValueError:
-        detections = _ordered_detections(tokens)
-    return PredRecord(patient_id, detections)
+    return patient_id, tokens
+
+
+def _checked_tokens(patient_id: str, fields: list[str]) -> tuple[str, list[str]]:
+    patient_id, tokens = _prediction_tokens(patient_id, fields)
+    _ordered_detections(tokens)
+    return patient_id, tokens
 
 
 def _ordered_detections(tokens: list[str]) -> tuple[Detection, ...]:
@@ -312,9 +373,51 @@ def _ordered_detections(tokens: list[str]) -> tuple[Detection, ...]:
     return tuple(detections)
 
 
+def _table(rows) -> PredictionTable:
+    """The table of (patient_id, tokens) rows; raises ValueError when a
+    value is not finite, a confidence lies outside [0, 1], an extent is
+    negative or a corner overflows."""
+    ids, reals, bounds = [], array("d"), [0]
+    for patient_id, tokens in rows:
+        ids.append(patient_id)
+        reals.extend(map(float, tokens))
+        bounds.append(len(reals) // 5)
+    values = np.array(reals).reshape(-1, 5)  # score, x, y, w, h
+    score, extents = values[:, 0], values[:, 3:]
+    if not ((0.0 <= score) & (score <= 1.0)).all() or not (extents >= 0.0).all():  # nan fails both
+        raise ValueError("a confidence or a box extent is out of range")
+    with np.errstate(all="ignore"):  # an overflowing x + w is refused below
+        extents += values[:, 1:3]  # w + x is x + w: IEEE addition commutes, signed zeros included
+    if not np.isfinite(values[:, 1:]).all():  # x, y, w, h finite, and no x + w overflows
+        raise ValueError("a box is not finite")
+    return PredictionTable(values, ids, bounds)
+
+
+def read_prediction_table(text: str) -> PredictionTable:
+    """Parse a predictions CSV into a PredictionTable; raises FormatError
+    naming the bad line.
+
+    Rows are read in bulk and checked over the whole array. When anything
+    fails, the text is read again and every row walked token by token in
+    row order, so the error is the one of the first bad row and token.
+    """
+    try:
+        return _table(_parse_rows(text, PRED_COLUMNS, _prediction_tokens))
+    except ValueError:
+        for _ in _parse_rows(text, PRED_COLUMNS, _checked_tokens):
+            pass
+        raise
+
+
 def read_predictions(text: str) -> list[PredRecord]:
-    """Parse a predictions CSV; raises FormatError naming the bad line."""
-    return list(_parse_rows(text, PRED_COLUMNS, _predictions_row))
+    """Parse a predictions CSV into one PredRecord per row, from the rows of
+    :func:`read_prediction_table`; raises FormatError naming the bad line."""
+    table = read_prediction_table(text)
+    rows = table.values.tolist()
+    return [
+        PredRecord(pid, [Detection(Box(x0, y0, x1, y1), score) for score, x0, y0, x1, y1 in rows[start:stop]])
+        for pid, start, stop in zip(table.ids, table.bounds, table.bounds[1:])
+    ]
 
 
 def _prediction_string(detections) -> str:

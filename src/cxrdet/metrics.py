@@ -12,13 +12,20 @@ Whether an overlap passes a threshold is decided in one place, the bisect
 that counts an image's failing overlaps; a walk is handed the least passing
 overlap and takes any best overlap that reaches it.
 
+Predictions are scored as table rows. ``score_dataset`` scores a
+``PredictionTable``, the form ``formats.read_prediction_table`` reads, whose
+rows per image are (n, 5) float64 arrays of score and corners; a mapping of
+Detections, the library form, becomes one such table at its top, and
+``match_boxes`` and ``average_precision`` take their Detections as one
+image's rows, so one core scores all three. Scores are compared as float64.
+
 Overlaps are batched. ``score_dataset`` runs images together up to a budget
 of pairs and takes every (prediction, ground truth) overlap of a run in one
 ``iou_columns`` pass over pair columns built by ``np.repeat``; an image over
 the budget alone goes in bands of prediction rows, so temporaries stay
-bounded for any input, and each image reads its rows as slices of one flat
-list. ``match_boxes`` and ``average_precision`` are one-image runs of the
-same path. Overlaps come from float64 corners, as in ``nms`` and
+bounded for any input, and each image reads its overlaps as slices of one
+flat list. ``match_boxes`` and ``average_precision`` are one-image runs of
+the same path. Overlaps come from float64 corners, as in ``nms`` and
 ``label_anchors``, so they equal ``iou`` bit for bit on float coordinates.
 On Python int coordinates ``iou`` computes exactly, so the two can differ
 in the last bit once a coordinate or an area passes 2**53, and a coordinate
@@ -37,7 +44,7 @@ from itertools import islice
 
 import numpy as np
 
-from .formats import ScoreReport, ThresholdCounts, validate_thresholds
+from .formats import PredictionTable, ScoreReport, ThresholdCounts, detection_rows, validate_thresholds
 from .geometry import box_columns, corners, iou, iou_columns  # noqa: F401  (bench/tracing.py wraps iou here)
 
 __all__ = [
@@ -64,6 +71,8 @@ MAX_THRESHOLDS = 1000  # the most a lo:hi:step range may hold
 # (prediction, ground truth) pairs per iou_columns pass: a run's temporaries
 # stay a few dozen KB however many images are scored
 _PAIR_BUDGET = 2048
+
+_NO_ROWS = np.empty((0, 5))  # the table rows of an image without predictions
 
 
 def threshold_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
@@ -97,9 +106,9 @@ class MatchResult:
 
 
 def _overlaps(images):
-    """Yield (preds, gt, overlaps) for each (preds, gt) image: prediction i's
-    overlaps are ``overlaps[i * m:(i + 1) * m]``, and there are none when a
-    side is empty.
+    """Yield (preds, gt, overlaps) for each (preds, gt) image, ``preds`` its
+    (n, 5) table rows and ``gt`` its Boxes: prediction i's overlaps are
+    ``overlaps[i * m:(i + 1) * m]``, and there are none when a side is empty.
 
     Images run together until the next would take the run past _PAIR_BUDGET
     pairs, and each run is one iou_columns pass; an image over the budget
@@ -124,7 +133,7 @@ def _overlaps(images):
 def _run_overlaps(run) -> list:
     """(preds, gt, overlaps) for each image of a run, every overlap of the
     run taken in one iou_columns pass over pair columns built by np.repeat."""
-    live = [(preds, gt) for preds, gt in run if preds and gt]
+    live = [(preds, gt) for preds, gt in run if len(preds) and gt]
     if not live:
         return [(preds, gt, []) for preds, gt in run]
     n = np.array([len(preds) for preds, _ in live])
@@ -134,7 +143,7 @@ def _run_overlaps(run) -> list:
     gt_starts = np.repeat(np.cumsum(m) - m, n)
     pred_index = np.repeat(np.arange(len(per_pred)), per_pred)
     gt_index = np.arange(len(pred_index)) + np.repeat(gt_starts - pair_starts, per_pred)
-    a = box_columns(corners(d.box for preds, _ in live for d in preds))
+    a = box_columns(np.concatenate([preds for preds, _ in live])[:, 1:])
     b = box_columns(corners(g for _, gt in live for g in gt))
     with np.errstate(all="ignore"):  # huge boxes overflow to inf and nan, as in iou
         flat = iter(iou_columns(a[:, pred_index], b[:, gt_index]).tolist())
@@ -144,18 +153,18 @@ def _run_overlaps(run) -> list:
 def _match(preds, gt, ts, inclusive, overlaps=None) -> list[MatchResult]:
     """Greedy matching at every threshold in ``ts``, one MatchResult each.
 
-    Predictions are sorted once, and ``overlaps``, the image's rows from
-    :func:`_overlaps` (computed here when not given), are read as slices. A
-    walk depends on a threshold only through which overlaps pass it, so
-    thresholds that no positive overlap separates share one walk, and a band
-    that no overlap passes needs none.
+    ``preds`` are the image's (n, 5) table rows, sorted once by score, and
+    ``overlaps``, the image's rows from :func:`_overlaps` (computed here when
+    not given), are read as slices. A walk depends on a threshold only
+    through which overlaps pass it, so thresholds that no positive overlap
+    separates share one walk, and a band that no overlap passes needs none.
     """
     n, m = len(preds), len(gt)
     if not n or not m:
         return [MatchResult(0, n, m, ())] * len(ts)
     if overlaps is None:
         overlaps = next(_overlaps([(preds, gt)]))[2]
-    neg_scores = [-p.score for p in preds]
+    neg_scores = (-preds[:, 0]).tolist()
     order = sorted(range(n), key=neg_scores.__getitem__)  # stable: ties keep input order
     rows = [(pi, overlaps[pi * m : (pi + 1) * m]) for pi in order]
     # a walk only ever takes an overlap above 0.0, so nan (which fails every
@@ -206,13 +215,13 @@ def match_boxes(preds, gt, t: float, *, inclusive: bool = False) -> MatchResult:
     box can be matched at most once, so duplicate predictions of the same
     box count as false positives.
     """
-    return _match(list(preds), list(gt), validate_thresholds((t,)), inclusive)[0]
+    return _match(detection_rows(preds), list(gt), validate_thresholds((t,)), inclusive)[0]
 
 
 def _score_image(preds, gt, ts, inclusive, overlaps=None):
     """One image's (score, [(tp, fp, fn) per threshold]); the score is None
     when the image has neither predictions nor ground truth."""
-    if not preds and not gt:
+    if not len(preds) and not gt:
         return None, [(0, 0, 0)] * len(ts)
     matches = _match(preds, gt, ts, inclusive, overlaps)
     score = sum(m.tp / (m.tp + m.fp + m.fn) for m in matches) / len(ts)
@@ -227,7 +236,7 @@ def average_precision(preds, gt, thresholds=DEFAULT_THRESHOLDS, *, inclusive: bo
     predictions but nothing to find.
     """
     ts = validate_thresholds(thresholds)
-    return _score_image(list(preds), list(gt), ts, inclusive)[0]
+    return _score_image(detection_rows(preds), list(gt), ts, inclusive)[0]
 
 
 def mean_average_precision(per_image) -> float:
@@ -249,16 +258,20 @@ def score_dataset(
     """Score a dataset and return the full report.
 
     ``gt_boxes`` maps image id -> ground-truth Boxes (empty for negative
-    images); ``predictions`` maps image id -> Detections. Images are the
-    union of both key sets, evaluated in sorted-id order so the report is
-    identical regardless of input ordering. ``workers`` is accepted and
-    must be at least 1, but has no effect: scoring runs serially.
+    images); ``predictions`` is a ``PredictionTable``, which maps image id ->
+    its (n, 5) table rows, or a mapping of image id -> Detections, which is
+    made one here, so one core scores both. Images are the union of both key
+    sets, evaluated in sorted-id order so the report is identical regardless
+    of input ordering. ``workers`` is accepted and must be at least 1, but
+    has no effect: scoring runs serially.
     """
     ts = validate_thresholds(thresholds)
     if workers < 1:
         raise ValueError(f"workers must be at least 1: {workers!r}")
+    if not isinstance(predictions, PredictionTable):
+        predictions = PredictionTable.from_detections(predictions)
     ids = sorted(set(gt_boxes) | set(predictions))
-    images = ((list(predictions.get(i, ())), list(gt_boxes.get(i, ()))) for i in ids)
+    images = ((predictions.get(i, _NO_ROWS), list(gt_boxes.get(i, ()))) for i in ids)
     results = [_score_image(preds, gt, ts, inclusive, overlaps) for preds, gt, overlaps in _overlaps(images)]
     per_image = tuple((image_id, score) for image_id, (score, _) in zip(ids, results))
     totals = [[0, 0, 0] for _ in ts]

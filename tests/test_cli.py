@@ -217,6 +217,65 @@ class TestScoreBytes:
         assert out.read_bytes() == report.encode()
 
 
+EDGE_GT = """patientId,x,y,width,height,Target
+p1,10,10,20,20,1
+p1,40,40,8,8,1
+p2,,,,,0
+p3,0,0,5,5,1
+p5,1,1,0,0,1
+"""
+
+
+class TestScoreEdges:
+    """``score`` reads its predictions into one table; on the table's edges it
+    must write the token-by-token reader's bytes, and on broken files exit 2
+    with that reader's message."""
+
+    @pytest.mark.parametrize("pred_text", [
+        pytest.param("patientId,PredictionString\np1,0.9 10 10 20 20\np2,0.5 0 0 4 4\n"
+                     "p1,0.8 40 40 8 8 0.3 11 11 20 20\np3,0.4 0 0 5 5\np1,0.8 10 10 20 20\n",
+                     id="patient-split-over-rows"),
+        pytest.param("patientId,PredictionString\np1,\np2,\np3,0.7 0 0 5 5\np3,\n", id="empty-strings"),
+        pytest.param("patientId,PredictionString\np5,0.6 1 1 -0.0 -0.0\n"
+                     "p1,0.9 10 10 -0.0 20 0.4 -0.0 -0.0 -0.0 -0.0 0.7 10 10 20 -0.0\n", id="negative-zero-extents"),
+        pytest.param("patientId,PredictionString\np4,0.5 1 2 3 4\np9,\np1,0.9 10 10 20 20\n", id="one-side-only"),
+        pytest.param("patientId,PredictionString\n", id="no-rows"),
+    ])
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_well_formed_files_match_the_oracle(self, tmp_path, capsys, pred_text, inclusive):
+        gt, preds, out = tmp_path / "gt.csv", tmp_path / "preds.csv", tmp_path / "report.json"
+        gt.write_text(EDGE_GT)
+        preds.write_text(pred_text)
+        flags = ["--inclusive-iou"] if inclusive else []
+        assert main(["score", str(gt), str(preds), "--out", str(out), *flags]) == 0
+        stdout, report = oracle_score(EDGE_GT, pred_text, DEFAULT_THRESHOLDS, inclusive)
+        assert capsys.readouterr().out == stdout
+        assert out.read_bytes() == report.encode()
+
+    @pytest.mark.parametrize("rows, message", [
+        (["p1,0.9 10 10 20 20 0.5 1 2 abc 4"], "line 3: non-numeric w 'abc'"),
+        (["p1,1.5 10 10 20 20"], "line 3: confidence 1.5 outside [0, 1]"),
+        (["p1,0.9 10 10 -3 20"], "line 3: negative box extent -3.0"),
+        (["p1,0.9 10 10 20 20 0.5 1e308 0 1e308 1"],
+         "line 3: box coordinates must be finite: Box(x_min=1e+308, y_min=0.0, x_max=inf, y_max=1.0)"),
+        # a later row that breaks the CSV itself does not hide an earlier bad value
+        (["p1,0.9 10 10 20 20 0.5 1 2 -3 4", "p3,0.5 1 2"], "line 3: negative box extent -3.0"),
+        (["p1,0.9 10 10 20 20", "p3,0.5 1 2"],
+         "line 4: prediction string must hold conf x y w h quintuples, got 3 tokens"),
+    ])
+    def test_broken_files_exit_2_with_the_oracle_message(self, tmp_path, capsys, rows, message):
+        pred_text = "\n".join(["patientId,PredictionString", "p0,0.5 1 1 2 2", *rows, "p2,0.5 1 1 2 2"]) + "\n"
+        with pytest.raises(ValueError) as oracle:
+            token_by_token_read_predictions(pred_text)
+        assert str(oracle.value) == message
+        gt, preds, out = tmp_path / "gt.csv", tmp_path / "preds.csv", tmp_path / "report.json"
+        gt.write_text(EDGE_GT)
+        preds.write_text(pred_text)
+        assert main(["score", str(gt), str(preds), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
 class TestNms:
     def test_hard_mode_keeps_two_of_three(self, tmp_path):
         preds = tmp_path / "preds.csv"

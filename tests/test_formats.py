@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from cxrdet import (
     write_predictions,
     write_report,
 )
+from cxrdet.formats import PredictionTable, read_prediction_table
 from oracles import token_by_token_read_predictions
 
 GT_HEADER = "patientId,x,y,width,height,Target"
@@ -292,6 +294,61 @@ class TestBulkParsedPredictions:
         got = records[0].detections[0].box
         signs = [math.copysign(1.0, v) for b in (got, box) for v in (b.x_min, b.y_min, b.x_max, b.y_max)]
         assert signs[:4] == signs[4:]
+
+
+def detection_values(detections):
+    """The (score, x_min, y_min, x_max, y_max) rows of Detections, as int64
+    bit patterns, so -0.0 and 0.0 differ."""
+    rows = [(d.score, d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in detections]
+    return np.array(rows, dtype=float).reshape(-1, 5).view(np.int64).tolist()
+
+
+class TestPredictionTable:
+    """The one predictions reader: a table of score and corner rows, with an
+    id and a row range per CSV row, and image rows grouped as
+    group_predictions groups Detections."""
+
+    @given(prediction_texts())
+    def test_rows_equal_the_token_by_token_reader(self, text):
+        expected = read_outcome(token_by_token_read_predictions, text)
+        try:
+            table = read_prediction_table(text)
+        except ValueError as exc:
+            assert (type(exc), str(exc)) == expected
+            return
+        assert table.ids == [r.patient_id for r in expected]
+        assert table.bounds == [0, *np.cumsum([len(r.detections) for r in expected]).tolist()]
+        assert table.values.view(np.int64).tolist() == detection_values(d for r in expected for d in r.detections)
+        grouped = group_predictions(expected)
+        assert list(table) == list(grouped)
+        assert {pid: table[pid].view(np.int64).tolist() for pid in table} == {
+            pid: detection_values(dets) for pid, dets in grouped.items()}
+
+    def test_repeated_rows_concatenate_in_file_order(self):
+        text = "patientId,PredictionString\np1,0.9 0 0 10 10\np2,\np1,0.5 5 5 1 2 0.25 1 1 1 1\np3,0.5 1 1 1 1\n"
+        table = read_prediction_table(text)
+        assert (table.ids, table.bounds) == (["p1", "p2", "p1", "p3"], [0, 1, 1, 3, 4])
+        assert list(table) == ["p1", "p2", "p3"] and len(table) == 3
+        assert table["p1"].tolist() == [[0.9, 0, 0, 10, 10], [0.5, 5, 5, 6, 7], [0.25, 1, 1, 2, 2]]
+        assert table["p2"].shape == (0, 5)
+        assert table.get("p4", ()) == ()
+        for rows in (table.values, table["p1"], table["p3"]):
+            assert not rows.flags.writeable
+
+    def test_from_detections_equals_the_read_table(self):
+        rng = random.Random(131)
+        predictions = {}
+        for i in range(12):
+            dets = []
+            for _ in range(rng.randint(0, 4)):
+                x, y = rng.uniform(0, 500), rng.uniform(0, 500)
+                dets.append(Detection(Box.from_xywh(x, y, rng.uniform(0, 100), rng.uniform(0, 100)), rng.random()))
+            predictions[f"p{i:02d}"] = dets
+        table = PredictionTable.from_detections(predictions)
+        read = read_prediction_table(write_predictions(PredRecord(p, d) for p, d in predictions.items()))
+        assert (table.ids, table.bounds) == (read.ids, read.bounds)
+        assert table.values.view(np.int64).tolist() == read.values.view(np.int64).tolist()
+        assert {p: table[p].tolist() for p in table} == {p: read[p].tolist() for p in read}
 
 
 class TestStrictQuoting:

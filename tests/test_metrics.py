@@ -25,6 +25,7 @@ from cxrdet import (
     threshold_range,
     total_loss,
 )
+from cxrdet.formats import detection_rows
 from cxrdet.geometry import iou
 from cxrdet.metrics import MAX_THRESHOLDS, _match, validate_thresholds
 from helpers import random_positive_box
@@ -175,14 +176,14 @@ class TestBandedMatching:
         if on_overlaps:  # every overlap in (0, 1) is a threshold too, so overlaps sit exactly on thresholds
             overlaps = {iou(p.box, g) for p in preds for g in gt}
             ts = tuple(sorted(set(ts) | {v for v in overlaps if 0.0 < v < 1.0}))
-        assert _match(preds, gt, ts, inclusive) == per_threshold_match(preds, gt, ts, inclusive)
+        assert _match(detection_rows(preds), gt, ts, inclusive) == per_threshold_match(preds, gt, ts, inclusive)
 
     @pytest.mark.parametrize("inclusive", [False, True])
     def test_overlaps_on_the_thresholds(self, inclusive):
         gt = [Box(0, 0, 4, 4), Box(10, 0, 14, 4)]
         preds = [det(Box(0, 0, 4, 3), 0.9), det(Box(10, 0, 12, 4), 0.9), det(Box(10, 0, 14, 4), 0.1)]  # 0.75, 0.5, 1.0
         ts = (0.4, 0.5, 0.6, 0.75, 0.8)
-        got = _match(preds, gt, ts, inclusive)
+        got = _match(detection_rows(preds), gt, ts, inclusive)
         assert got == per_threshold_match(preds, gt, ts, inclusive)
         assert [m.tp for m in got] == ([2, 2, 2, 2, 1] if inclusive else [2, 2, 2, 1, 1])
 
@@ -193,7 +194,7 @@ class TestBandedMatching:
         preds = [det(Box(0, 2, 4, 6), 0.9), det(huge, 0.9)]  # overlaps (0, 1/3) and (nan, 0)
         ts = (0.25, 0.5, 0.75)
         for inclusive in (False, True):
-            got = _match(preds, gt, ts, inclusive)
+            got = _match(detection_rows(preds), gt, ts, inclusive)
             assert got == per_threshold_match(preds, gt, ts, inclusive)
             assert [m.matched_pairs for m in got] == [((0, 1, 1 / 3),), (), ()]
 
@@ -201,7 +202,7 @@ class TestBandedMatching:
     def test_empty_sides(self, n, m):
         preds = [det(Box(0, 0, 4, 4), 0.5)] * n
         gt = [Box(0, 0, 4, 4)] * m
-        assert _match(preds, gt, DEFAULT_THRESHOLDS, False) == [MatchResult(0, n, m, ())] * 8
+        assert _match(detection_rows(preds), gt, DEFAULT_THRESHOLDS, False) == [MatchResult(0, n, m, ())] * 8
 
 
 zero_area_boxes = st.sampled_from([Box(2, 2, 2, 2), Box(0, 0, 0, 4), Box(1, 3, 5, 3)])
@@ -298,7 +299,7 @@ class TestBatchedOverlaps:
         ts = (0.2, 0.5, 0.8)
         for run in (lambda: score_dataset({"a": gt, "b": gt[:1]}, {"a": preds, "b": preds[:1]}, ts,
                                           inclusive=inclusive),
-                    lambda: _match(preds, gt, ts, inclusive)):
+                    lambda: _match(detection_rows(preds), gt, ts, inclusive)):
             result, sizes = pass_sizes(7, run)
             # 10 x 3 pairs over a budget of 7: bands of 2 rows, then the next image
             assert sizes[:5] == [6, 6, 6, 6, 6]
@@ -309,7 +310,7 @@ class TestBatchedOverlaps:
     def test_one_row_wider_than_the_budget(self):
         gt = [Box(k, 0, k + 2, 2) for k in range(6)]
         preds = [det(Box(1, 0, 3, 2), 0.9), det(Box(4, 0, 6, 2), 0.8)]
-        result, sizes = pass_sizes(4, lambda: _match(preds, gt, DEFAULT_THRESHOLDS, False))
+        result, sizes = pass_sizes(4, lambda: _match(detection_rows(preds), gt, DEFAULT_THRESHOLDS, False))
         assert sizes == [6, 6]
         assert result == per_threshold_match(preds, gt, DEFAULT_THRESHOLDS, False)
 
