@@ -1,15 +1,18 @@
 """Count the code lines of Python files, as ``wc -l`` counts raw lines.
 
 A code line holds at least one token that is not a comment and is not part
-of a docstring, so blank, comment and docstring lines do not count::
+of a docstring, so blank, comment and docstring lines do not count. A
+directory stands for the ``*.py`` files under it::
 
     python .github/code_lines.py src/cxrdet/*.py
+    python .github/code_lines.py src
 """
 
 import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -34,8 +37,9 @@ def code_lines(path: str) -> int:
 
 if __name__ == "__main__":
     total = 0
-    for path in sys.argv[1:]:
-        n = code_lines(path)
-        total += n
-        print(f"{n:8d} {path}")
+    for arg in sys.argv[1:]:
+        for path in sorted(Path(arg).rglob("*.py")) if Path(arg).is_dir() else [arg]:
+            n = code_lines(path)
+            total += n
+            print(f"{n:8d} {path}")
     print(f"{total:8d} total")

@@ -10,9 +10,10 @@ workload's own check, and is fingerprinted as a warm-up op's is. Keys are
 when the check fails.
 
 Then each command of ``CLI_RUNS`` runs as ``cxrdet`` in a fresh process
-from ``SRC``, in the directory of that seed's workload inputs. Keys are
-``cli/seed/command``; a value is the exit code and one digest of stdout,
-stderr and the ``--out`` file's bytes. Two trees whose objects are equal
+from ``SRC``, in the directory of that seed's workload inputs, beside the
+broken copies ``write_broken`` makes of them, so reader errors are pinned
+too. Keys are ``cli/seed/command``; a value is the exit code and one digest
+of stdout, stderr and the ``--out`` file's bytes. Two trees whose objects are equal
 produce the same bytes on every benchmark input and CLI run::
 
     python .github/digests.py src > head.json
@@ -42,8 +43,36 @@ CLI_RUNS = (
       for s in (0, 1) for mode in ("hard", "soft-linear", "soft-gaussian")),
     *(("detect-image", f"preprocess film{s}.pgm {flags} --out out.pgm") for s in (0, 1) for flags in PREPROCESS_FLAGS),
     ("detect-image", "anchors --grid 7x5 --scales 1,2 --out out.csv"),
+    # reader errors, over the broken copies: each exits 2 and leaves out.* unwritten
+    ("score-leaderboard", "score gt.csv bad-token.csv --out out.json"),
+    ("score-leaderboard", "score gt.csv bad-token-crlf.csv --out out.json"),
+    ("score-leaderboard", "score bad-target.csv preds.csv --out out.json"),
+    ("nms-raw", "nms bad-confidence.csv --mode soft-gaussian --out out.csv"),
 )
 RUN_CLI = "import sys; from cxrdet.cli import main; sys.exit(main())"
+
+
+def write_broken(work: Path, name: str) -> None:
+    """Write into ``work`` the broken copies of workload ``name``'s input files
+    there. Each differs from its source in one value of one single-line row."""
+    if name == "score-leaderboard":
+        preds = (work / "preds.csv").read_text().split("\n")
+        # the first row from the middle on that holds detections: its x becomes non-numeric
+        i = next(i for i in range(len(preds) // 2, len(preds)) if preds[i].split(",")[1])
+        pid, string = preds[i].split(",")
+        conf, _, rest = string.split(" ", 2)
+        preds[i] = f"{pid},{conf} abc {rest}"
+        (work / "bad-token.csv").write_text("\n".join(preds), newline="")
+        (work / "bad-token-crlf.csv").write_text("\r\n".join(preds), newline="")
+        gt = (work / "gt.csv").read_text().split("\n")
+        i = len(gt) // 2
+        gt[i] = gt[i][: gt[i].rindex(",")] + ",2"
+        (work / "bad-target.csv").write_text("\n".join(gt), newline="")
+    elif name == "nms-raw":
+        shard = (work / "shard0.csv").read_text().split("\n")
+        pid, string = shard[-2].split(",")  # the last row; the text ends in a line end
+        shard[-2] = f"{pid},1.5 {string.split(' ', 1)[1]}"
+        (work / "bad-confidence.csv").write_text("\n".join(shard), newline="")
 
 
 def cli_digest(src: Path, work: Path, command: str) -> str:
@@ -76,6 +105,7 @@ def digests(src: Path) -> dict:
                 work.mkdir()
                 workload = wl_class(api, seed, work)
                 workload.prepare(api)
+                write_broken(work, name)
                 for i in range(workload.inputs):
                     result = workload.op(api, i)
                     try:

@@ -30,7 +30,8 @@ object per detection. Every token goes through ``float``, ``x + w`` and
 keeps its sign), and finiteness, the confidence range, negative extents and
 an ``x + w`` that overflows are checked over the whole array at once. When
 any row fails, the text is read again and each row walked token by token in
-row order (``_ordered_detections``), so the error names the first bad
+row order (``_checked_tokens``, whose boxes go through the ground-truth
+reader's ordered check, ``_checked_box``), so the error names the first bad
 token, confidence or box and its line. ``read_predictions`` wraps the table
 reader and builds the public ``PredRecord``s from the table's rows. Unknown
 or missing columns are an error, LF and CRLF both parse, and floats are
@@ -39,11 +40,13 @@ written with ``repr`` so read(write(x)) round-trips bit-exactly.
 All three CSVs are read by one row loop: it checks the header and the field
 count, strips the patient id and refuses an empty one, and turns any row
 error, including a box corner that overflows, into a FormatError that
-names the line. Quoting is strict: a quote never closed, or text after a
-closing quote, is such an error. Lines end only at LF, CRLF or a lone CR, in
-the CSVs and in the id lists ``read_ids`` reads, and ``decode_text`` names
-the line of a byte that is not UTF-8. Every CSV the package writes, these
-and the ``folds`` and ``anchors`` tables, goes through ``write_csv``.
+names the line; a row that spans lines, through a quoted line break, is
+named by its last line, as csv names its own errors. Quoting is strict: a
+quote never closed, or text after a closing quote, is such an error. Lines
+end only at LF, CRLF or a lone CR, in the CSVs and in the id lists
+``read_ids`` reads, and ``decode_text`` names the line of a byte that is
+not UTF-8. Every CSV the package writes, these and the ``folds`` and
+``anchors`` tables, goes through ``write_csv``.
 
 Score reports are JSON with a fixed key order and reals rendered to six
 decimal places; images excluded from the mean (no boxes and no predictions)
@@ -59,7 +62,7 @@ import re
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, cycle
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -94,7 +97,6 @@ __all__ = [
 GT_COLUMNS = ("patientId", "x", "y", "width", "height", "Target")
 PRED_COLUMNS = ("patientId", "PredictionString")
 LABEL_COLUMNS = ("patientId", "truth", "pred")
-_PRED_FIELDS = ("confidence", "x", "y", "w", "h")
 
 
 class FormatError(ValueError):
@@ -216,21 +218,21 @@ def _parse_rows(text: str, columns: tuple[str, ...], parse_row):
 
     The header must be ``columns``, every row must hold one field per column,
     and its first field, stripped, is a non-empty patient id; ``fields`` are
-    the rest. A ValueError from any of these checks or from ``parse_row``
-    becomes a FormatError naming the line.
+    the rest. A csv error, or a ValueError from any of these checks or from
+    ``parse_row``, becomes a FormatError naming the line csv has read up to:
+    a row that spans lines is named by its last line.
     """
     # the limit is process-wide; no field can be longer than the whole text
     if len(text) > csv.field_size_limit():
         csv.field_size_limit(len(text))
     reader = csv.reader((m.group() for m in _LINE.finditer(text)), strict=True)
-    lineno = 1
     try:
         header = next(reader, None)
         if header is None:
             raise ValueError("missing header")
         if tuple(h.strip() for h in header) != columns:
             raise ValueError(f"expected header {','.join(columns)!r}, got {','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(columns):
@@ -239,10 +241,9 @@ def _parse_rows(text: str, columns: tuple[str, ...], parse_row):
             if not patient_id:
                 raise ValueError("empty patient id")
             yield parse_row(patient_id, row[1:])
-    except csv.Error as exc:
-        raise FormatError(f"line {reader.line_num}: {exc}") from None
-    except ValueError as exc:
-        raise FormatError(f"line {lineno}: {exc}") from None
+    except (csv.Error, ValueError) as exc:
+        # an empty text has no line for csv to count, but its header is missing from line 1
+        raise FormatError(f"line {max(reader.line_num, 1)}: {exc}") from None
 
 
 def write_csv(header, rows) -> str:
@@ -265,6 +266,12 @@ def _parse_real(token: str, what: str) -> float:
     return value
 
 
+def _checked_box(fields: list[str]) -> Box:
+    """The box of x, y, w, h fields, each parsed and checked in order, so the
+    first bad field, then a negative extent or an overflowing corner, raises."""
+    return Box.from_xywh(*(_parse_real(f, name) for f, name in zip(fields, "xywh")))
+
+
 def _ground_truth_row(patient_id: str, fields: list[str]) -> GtRecord:
     *box_fields, target = (f.strip() for f in fields)
     if target not in ("0", "1"):
@@ -278,7 +285,7 @@ def _ground_truth_row(patient_id: str, fields: list[str]) -> GtRecord:
     try:
         box = Box.from_xywh(*map(float, box_fields))
     except ValueError:  # a non-numeric, non-finite or negative field: find the first in order
-        box = Box.from_xywh(*(_parse_real(f, name) for f, name in zip(box_fields, "xywh")))
+        box = _checked_box(box_fields)
     return GtRecord(patient_id, box, 1)
 
 
@@ -353,24 +360,15 @@ def _prediction_tokens(patient_id: str, fields: list[str]) -> tuple[str, list[st
     return patient_id, tokens
 
 
-def _checked_tokens(patient_id: str, fields: list[str]) -> tuple[str, list[str]]:
-    patient_id, tokens = _prediction_tokens(patient_id, fields)
-    _ordered_detections(tokens)
-    return patient_id, tokens
-
-
-def _ordered_detections(tokens: list[str]) -> tuple[Detection, ...]:
-    """A prediction string's detections, each token parsed and checked in row
-    order, so the first bad token, confidence or box is the one that raises."""
-    reals = (_parse_real(tok, what) for tok, what in zip(tokens, cycle(_PRED_FIELDS)))
-    detections = []
-    for conf in reals:
+def _checked_tokens(patient_id: str, fields: list[str]) -> None:
+    """Check a prediction string token by token in row order, so the first
+    bad token, confidence or box is the one that raises."""
+    tokens = _prediction_tokens(patient_id, fields)[1]
+    for start in range(0, len(tokens), 5):
+        conf = _parse_real(tokens[start], "confidence")
         if not 0.0 <= conf <= 1.0:
             raise ValueError(f"confidence {conf!r} outside [0, 1]")
-        # pulled after conf is checked; zip(*[reals] * 5) would parse the box first
-        box = Box.from_xywh(next(reals), next(reals), next(reals), next(reals))
-        detections.append(Detection(box, conf))
-    return tuple(detections)
+        _checked_box(tokens[start + 1 : start + 5])
 
 
 def _table(rows) -> PredictionTable:

@@ -275,6 +275,14 @@ class TestScoreEdges:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    def test_error_after_a_multi_line_id_names_its_last_line(self, tmp_path, capsys):
+        gt, preds, out = tmp_path / "gt.csv", tmp_path / "preds.csv", tmp_path / "report.json"
+        gt.write_text(EDGE_GT)
+        preds.write_text('patientId,PredictionString\n"p\n1",0.5 1 1 1 1\np2,2 0 0 1 1\n')
+        assert main(["score", str(gt), str(preds), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: line 4: confidence 2.0 outside [0, 1]\n")
+        assert not out.exists()
+
 
 class TestNms:
     def test_hard_mode_keeps_two_of_three(self, tmp_path):

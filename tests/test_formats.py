@@ -368,6 +368,29 @@ class TestStrictQuoting:
         records = read_predictions('patientId,PredictionString\n"p,1","0.5 1 2 3 4"\n')
         assert records == [PredRecord("p,1", (Detection(Box(1, 2, 4, 6), 0.5),))]
 
+    # a quoted line break makes a row span lines; its error names the row's last line
+    @pytest.mark.parametrize("reader", [read_predictions, read_prediction_table])
+    def test_error_after_a_multi_line_id_names_its_line(self, reader):
+        text = 'patientId,PredictionString\n"p\n1",0.5 1 1 1 1\np2,2 0 0 1 1\n'
+        assert read_outcome(reader, text) == (FormatError, "line 4: confidence 2.0 outside [0, 1]")
+
+    def test_ground_truth_error_after_two_multi_line_ids(self):
+        text = f'{GT_HEADER}\n"a\nb",1,1,1,1,1\n"c\nd",,,,,0\nq,1,1,1,1,2\n'
+        assert read_outcome(read_ground_truth, text) == (FormatError, "line 6: target must be 0 or 1, got '2'")
+
+    def test_multi_line_string_is_named_by_its_last_line(self):
+        text = 'patientId,PredictionString\n"p\n0",0.5 1 1 1 1\np1,"0.5 1\n1 1"\n'
+        assert read_outcome(read_predictions, text) == (
+            FormatError, "line 5: prediction string must hold conf x y w h quintuples, got 4 tokens")
+
+    def test_crlf_id_counts_as_one_line_end(self):
+        text = 'patientId,truth,pred\r\n"a\r\nb",1,1\r\np,1,2\r\n'
+        assert read_outcome(read_labels, text) == (FormatError, "line 4: truth and pred must be 0 or 1")
+
+    @pytest.mark.parametrize("reader", [read_predictions, read_prediction_table, read_ground_truth, read_labels])
+    def test_empty_text_misses_its_header_on_line_1(self, reader):
+        assert read_outcome(reader, "") == (FormatError, "line 1: missing header")
+
 
 def tiny_report():
     return ScoreReport(
