@@ -12,8 +12,10 @@ when the check fails.
 Then each command of ``CLI_RUNS`` runs as ``cxrdet`` in a fresh process
 from ``SRC``, in the directory of that seed's workload inputs, beside the
 broken copies ``write_broken`` makes of them, so reader errors are pinned
-too. Keys are ``cli/seed/command``; a value is the exit code and one digest
-of stdout, stderr and the ``--out`` file's bytes. Two trees whose objects are equal
+too, and the reshaped copies ``write_reshaped`` makes, so repeated rows and
+prediction-only images are pinned at full scale. Keys are
+``cli/seed/command``; a value is the exit code and one digest of stdout,
+stderr and the ``--out`` file's bytes. Two trees whose objects are equal
 produce the same bytes on every benchmark input and CLI run::
 
     python .github/digests.py src > head.json
@@ -39,6 +41,9 @@ CLI_RUNS = (
     ("score-leaderboard", "score gt.csv preds.csv --out out.json"),
     ("score-leaderboard", "score gt.csv preds.csv --inclusive-iou --thresholds 0.3,0.5,0.9 --out out.json"),
     ("score-leaderboard", "score gt.csv preds.csv --thresholds 0.05:0.95:0.05 --out out.json"),
+    # over the reshaped copies write_reshaped makes; the split run's digest equals the first run's
+    ("score-leaderboard", "score gt.csv preds-split.csv --out out.json"),
+    ("score-leaderboard", "score gt-subset.csv preds.csv --out out.json"),
     *(("nms-raw", f"nms shard{s}.csv --mode {mode} --out out.csv")
       for s in (0, 1) for mode in ("hard", "soft-linear", "soft-gaussian")),
     *(("detect-image", f"preprocess film{s}.pgm {flags} --out out.pgm") for s in (0, 1) for flags in PREPROCESS_FLAGS),
@@ -75,6 +80,31 @@ def write_broken(work: Path, name: str) -> None:
         (work / "bad-confidence.csv").write_text("\n".join(shard), newline="")
 
 
+def write_reshaped(work: Path, name: str) -> None:
+    """Write into ``work`` the well-formed, reshaped copies of workload
+    ``name``'s input files there. ``preds-split.csv`` keeps each row's first
+    quintuple in place and moves the rest of a row holding two or more to a
+    new row of the same id at the end of the file; repeated rows concatenate
+    in file order, so it scores as ``preds.csv`` does. ``gt-subset.csv``
+    drops every row of every tenth ground-truth image, which leaves those
+    images with predictions alone."""
+    if name != "score-leaderboard":
+        return
+    rows, moved = (work / "preds.csv").read_text().splitlines(), []
+    for i, row in enumerate(rows[1:], 1):
+        pid, string = row.split(",")
+        tokens = string.split()
+        if len(tokens) > 5:
+            rows[i] = f"{pid},{' '.join(tokens[:5])}"
+            moved.append(f"{pid},{' '.join(tokens[5:])}")
+    (work / "preds-split.csv").write_text("\n".join(rows + moved) + "\n")
+    rows = (work / "gt.csv").read_text().splitlines()
+    ids = list(dict.fromkeys(row.split(",")[0] for row in rows[1:]))
+    dropped = set(ids[9::10])
+    kept = [row for row in rows[1:] if row.split(",")[0] not in dropped]
+    (work / "gt-subset.csv").write_text("\n".join(rows[:1] + kept) + "\n")
+
+
 def cli_digest(src: Path, work: Path, command: str) -> str:
     """Run ``cxrdet command`` from ``src`` in ``work``: its exit code and one
     digest of stdout, stderr and the bytes of the file named by ``--out``."""
@@ -106,6 +136,7 @@ def digests(src: Path) -> dict:
                 workload = wl_class(api, seed, work)
                 workload.prepare(api)
                 write_broken(work, name)
+                write_reshaped(work, name)
                 for i in range(workload.inputs):
                     result = workload.op(api, i)
                     try:

@@ -185,7 +185,7 @@ class ScoreReport:
         present = [s for _, s in self.per_image if s is not None]
         expected = sum(present) / len(present) if present else 0.0
         # 2e-6 absorbs the six-decimal wire rounding of reread reports
-        if abs(self.dataset_map - expected) > 2e-6:
+        if not abs(self.dataset_map - expected) <= 2e-6:  # stated so that nan fails
             raise ValueError(
                 f"dataset_map {self.dataset_map!r} inconsistent with per-image mean {expected!r}"
             )
@@ -489,8 +489,20 @@ def write_report(report: ScoreReport) -> str:
     })
 
 
+def _read_as(kind, value):
+    """``kind(value)``, refused unless JSON gave ``value`` the type that
+    write_report writes for ``kind``; kind's own error names a value it
+    cannot convert at all."""
+    converted = kind(value)
+    # exact types, so a boolean is no number; a real may be written as an integer
+    if type(value) not in {float: (int, float)}.get(kind, (kind,)):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return converted
+
+
 def read_report(text: str) -> ScoreReport:
-    """Parse a report written by :func:`write_report`."""
+    """Parse a report written by :func:`write_report`; a value of another
+    JSON type than the one written there is refused."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -500,20 +512,20 @@ def read_report(text: str) -> ScoreReport:
         raise FormatError(f"report must have exactly the keys {sorted(expected)}")
     try:
         return ScoreReport(
-            dataset_map=float(data["dataset_map"]),
-            thresholds=tuple(float(t) for t in data["thresholds"]),
+            dataset_map=_read_as(float, data["dataset_map"]),
+            thresholds=tuple(_read_as(float, t) for t in data["thresholds"]),
             per_image=tuple(
                 (
-                    entry["patient_id"],
-                    None if entry["average_precision"] is None else float(entry["average_precision"]),
+                    _read_as(str, entry["patient_id"]),
+                    None if entry["average_precision"] is None else _read_as(float, entry["average_precision"]),
                 )
                 for entry in data["per_image"]
             ),
             counts=tuple(
-                ThresholdCounts(float(c["threshold"]), int(c["tp"]), int(c["fp"]), int(c["fn"]))
+                ThresholdCounts(_read_as(float, c["threshold"]), *(_read_as(int, c[k]) for k in ("tp", "fp", "fn")))
                 for c in data["counts"]
             ),
-            undefined=tuple(data["undefined"]),
+            undefined=tuple(_read_as(str, u) for u in _read_as(list, data["undefined"])),
         )
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise FormatError(f"invalid report contents: {exc}") from None

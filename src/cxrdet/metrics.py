@@ -4,9 +4,14 @@ The dataset score is the competition-style mean average precision: per
 image, predictions are matched greedily to ground truth in descending
 confidence order, a per-threshold precision tp / (tp + fp + fn) is computed
 over a set of IoU thresholds, the per-image score is the mean over
-thresholds, and the dataset score is the mean over images. Images with
-neither ground truth nor predictions are excluded from that final mean;
-images with predictions but no ground truth score zero. Thresholds between
+thresholds, and the dataset score is the mean over images. Per-image work
+yields true positives alone: an image with n predictions and m boxes has
+fp = n - tp and fn = m - tp, so its precision is tp / (n + m - tp), and the
+dataset's counts are FP = N - TP and FN = M - TP, N and M the sizes of all
+scored images. The one empty-image rule is ``_score_image``'s: an image
+with an empty side is never matched; with neither ground truth nor
+predictions it is excluded from the final mean, and with only one side it
+scores zero. Thresholds between
 which an image has no overlap form a band, and each band is walked once.
 Whether an overlap passes a threshold is decided in one place, the bisect
 that counts an image's failing overlaps; a walk is handed the least passing
@@ -158,10 +163,11 @@ def _match(preds, gt, ts, inclusive, overlaps=None) -> list[MatchResult]:
     not given), are read as slices. A walk depends on a threshold only
     through which overlaps pass it, so thresholds that no positive overlap
     separates share one walk, and a band that no overlap passes needs none.
+    An empty side has no overlap, so no band is walked and every result is
+    ``MatchResult(0, n, m, ())``; the score path never gets here with one,
+    as ``_score_image`` holds its empty-image rule.
     """
     n, m = len(preds), len(gt)
-    if not n or not m:
-        return [MatchResult(0, n, m, ())] * len(ts)
     if overlaps is None:
         overlaps = next(_overlaps([(preds, gt)]))[2]
     neg_scores = (-preds[:, 0]).tolist()
@@ -219,13 +225,15 @@ def match_boxes(preds, gt, t: float, *, inclusive: bool = False) -> MatchResult:
 
 
 def _score_image(preds, gt, ts, inclusive, overlaps=None):
-    """One image's (score, [(tp, fp, fn) per threshold]); the score is None
-    when the image has neither predictions nor ground truth."""
-    if not len(preds) and not gt:
-        return None, [(0, 0, 0)] * len(ts)
-    matches = _match(preds, gt, ts, inclusive, overlaps)
-    score = sum(m.tp / (m.tp + m.fp + m.fn) for m in matches) / len(ts)
-    return score, [(m.tp, m.fp, m.fn) for m in matches]
+    """One image's (score, tp per threshold); its fp and fn are its sizes
+    less tp. This is the score path's one empty-image rule: an image with no
+    predictions or no ground truth is not matched, its tp are (), and it
+    scores None when both sides are empty, else 0.0."""
+    n, m = len(preds), len(gt)
+    if not n or not m:
+        return (None if n == m else 0.0), ()
+    tps = [r.tp for r in _match(preds, gt, ts, inclusive, overlaps)]
+    return sum(tp / (n + m - tp) for tp in tps) / len(ts), tps
 
 
 def average_precision(preds, gt, thresholds=DEFAULT_THRESHOLDS, *, inclusive: bool = False) -> float | None:
@@ -271,22 +279,18 @@ def score_dataset(
     if not isinstance(predictions, PredictionTable):
         predictions = PredictionTable.from_detections(predictions)
     ids = sorted(set(gt_boxes) | set(predictions))
-    images = ((predictions.get(i, _NO_ROWS), list(gt_boxes.get(i, ()))) for i in ids)
+    images = [(predictions.get(i, _NO_ROWS), list(gt_boxes.get(i, ()))) for i in ids]
     results = [_score_image(preds, gt, ts, inclusive, overlaps) for preds, gt, overlaps in _overlaps(images)]
-    per_image = tuple((image_id, score) for image_id, (score, _) in zip(ids, results))
-    totals = [[0, 0, 0] for _ in ts]
-    for _, counts in results:
-        for ti, (tp, fp, fn) in enumerate(counts):
-            totals[ti][0] += tp
-            totals[ti][1] += fp
-            totals[ti][2] += fn
-    scores = [score for _, score in per_image]
+    scores = [score for score, _ in results]
+    matched = [tps for _, tps in results if tps]  # tp per threshold of each image with both sides
+    tp = [sum(column) for column in zip(*matched)] if matched else [0] * len(ts)
+    n, m = sum(len(preds) for preds, _ in images), sum(len(gt) for _, gt in images)
     undefined = () if any(s is not None for s in scores) else ("dataset_map",)
     return ScoreReport(
         dataset_map=mean_average_precision(scores),
         thresholds=ts,
-        per_image=per_image,
-        counts=tuple(ThresholdCounts(t, *total) for t, total in zip(ts, totals)),
+        per_image=tuple(zip(ids, scores)),
+        counts=tuple(ThresholdCounts(t, k, n - k, m - k) for t, k in zip(ts, tp)),
         undefined=undefined,
     )
 

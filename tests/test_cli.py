@@ -138,10 +138,12 @@ def leaderboard(seed, images=80):
     """Seeded ground-truth and predictions CSV texts. True boxes have sides
     divisible by four, so their half- and three-quarter-width copies overlap
     them in exactly 0.5 and 0.75; there are also jittered copies, random
-    boxes, tied confidences, empty prediction rows, target-0 rows and images
-    listed in only one of the two files."""
+    boxes, tied confidences, empty prediction rows, target-0 rows, images
+    listed in only one of the two files, and images whose quintuples are
+    split over two rows of the same id, the second among the last rows."""
     rng = random.Random(seed)
     gt_lines, pred_lines = ["patientId,x,y,width,height,Target"], ["patientId,PredictionString"]
+    split_rows = []
     for i in range(images):
         pid = f"img{i:03d}"
         boxes = []
@@ -165,8 +167,11 @@ def leaderboard(seed, images=80):
         if rng.random() < 0.15:
             quintuples = []
         tokens = [f"{rng.choice((0.3, 0.5, 0.5, 0.9))} {x:.1f} {y:.1f} {w:.1f} {h:.1f}" for x, y, w, h in quintuples]
-        pred_lines.append(f"{pid},{' '.join(tokens)}")
-    return "\n".join(gt_lines) + "\n", "\n".join(pred_lines) + "\n"
+        cut = rng.randint(1, len(tokens) - 1) if len(tokens) > 1 and rng.random() < 0.3 else len(tokens)
+        pred_lines.append(f"{pid},{' '.join(tokens[:cut])}")
+        if cut < len(tokens):
+            split_rows.append(f"{pid},{' '.join(tokens[cut:])}")
+    return "\n".join(gt_lines) + "\n", "\n".join(pred_lines + split_rows) + "\n"
 
 
 def oracle_score(gt_text, pred_text, ts, inclusive):

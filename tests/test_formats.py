@@ -457,6 +457,44 @@ class TestReport:
             read_report(text)
         assert str(info.value) == "invalid report contents: invalid literal for int() with base 10: 'x'"
 
+    def test_nan_dataset_map_rejected(self):
+        with pytest.raises(ValueError) as info:
+            ScoreReport(float("nan"), (0.5,), (("p1", 0.5),), (ThresholdCounts(0.5, 1, 1, 0),))
+        assert str(info.value) == "dataset_map nan inconsistent with per-image mean 0.5"
+
+    def test_nan_dataset_map_not_read(self):
+        text = write_report(tiny_report()).replace('"dataset_map": 0.500000', '"dataset_map": NaN')
+        with pytest.raises(FormatError) as info:
+            read_report(text)
+        assert str(info.value) == "invalid report contents: dataset_map nan inconsistent with per-image mean 0.5"
+
+    @pytest.mark.parametrize("old, new, detail", [
+        ('"tp": 1,', '"tp": 1.9,', "expected int, got 1.9"),
+        ('"tp": 1,', '"tp": true,', "expected int, got True"),
+        ('"fn": 0}', '"fn": 0.0}', "expected int, got 0.0"),
+        ('"dataset_map": 0.500000', '"dataset_map": "0.5"', "expected float, got '0.5'"),
+        ('"dataset_map": 0.500000', '"dataset_map": false', "expected float, got False"),
+        ('"threshold": 0.500000', '"threshold": "0.5"', "expected float, got '0.5'"),
+        ('"thresholds": [0.400000,', '"thresholds": [true,', "expected float, got True"),
+        ('"average_precision": 1.000000', '"average_precision": "1"', "expected float, got '1'"),
+        ('"patient_id": "p1"', '"patient_id": 7', "expected str, got 7"),
+        ('"undefined": []', '"undefined": "ab"', "expected list, got 'ab'"),
+        ('"undefined": []', '"undefined": ["dataset_map", 1]', "expected str, got 1"),
+        ('"threshold": 0.500000', '"threshold": 1' + "0" * 400, "int too large to convert to float"),
+    ], ids=["float-count", "boolean-count", "float-zero-count", "string-map", "boolean-map", "string-threshold",
+            "boolean-threshold", "string-score", "integer-id", "string-undefined", "integer-undefined-name",
+            "huge-integer-threshold"])
+    def test_wrong_json_types_rejected(self, old, new, detail):
+        text = write_report(tiny_report())
+        assert old in text
+        with pytest.raises(FormatError) as info:
+            read_report(text.replace(old, new, 1))
+        assert str(info.value) == f"invalid report contents: {detail}"
+
+    def test_whole_numbers_read_as_reals(self):
+        text = write_report(tiny_report()).replace('"average_precision": 1.000000', '"average_precision": 1')
+        assert read_report(text) == tiny_report()
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError) as info:
             ThresholdCounts(0.5, 0, -1, 0)
