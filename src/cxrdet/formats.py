@@ -50,8 +50,12 @@ not UTF-8. Every CSV the package writes, these and the ``folds`` and
 
 Score reports are JSON with a fixed key order and reals rendered to six
 decimal places; images excluded from the mean (no boxes and no predictions)
-appear with a ``null`` score. ``write_json_object`` lays out every JSON
-object the package writes, one field per line.
+appear with a ``null`` score. ``read_report`` holds one exact-keys rule for
+the report, its counts and its per-image entries, and refuses a repeated
+key in any object; a ``ScoreReport`` refuses counts whose ``tp + fp`` or
+``tp + fn`` differ between thresholds, which no dataset produces.
+``write_json_object`` lays out every JSON object the package writes, one
+field per line.
 """
 
 import csv
@@ -66,7 +70,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, detection_rows
 from .nms import Detection
 
 __all__ = [
@@ -179,6 +183,9 @@ class ScoreReport:
             c.threshold != t for c, t in zip(self.counts, self.thresholds)
         ):
             raise ValueError("counts must line up with the thresholds")
+        # every threshold matches the same predictions (tp + fp) against the same boxes (tp + fn)
+        if len({(c.tp + c.fp, c.tp + c.fn) for c in self.counts}) > 1:
+            raise ValueError("counts must hold the same tp + fp and tp + fn at every threshold")
         for pid, score in self.per_image:
             if score is not None and not 0.0 <= score <= 1.0:
                 raise ValueError(f"per-image score out of range for {pid!r}: {score!r}")
@@ -303,14 +310,6 @@ def _ground_truth_fields(record: GtRecord) -> tuple[str, ...]:
 def write_ground_truth(records) -> str:
     """Serialize GtRecords; inverse of :func:`read_ground_truth`."""
     return write_csv(GT_COLUMNS, map(_ground_truth_fields, records))
-
-
-def detection_rows(detections) -> np.ndarray:
-    """Detections (any iterable) as an (N, 5) float64 array of score, x_min,
-    y_min, x_max, y_max rows, read in one pass; a value too large for a float
-    raises OverflowError."""
-    values = chain.from_iterable((d.score, d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in detections)
-    return np.fromiter(values, float).reshape(-1, 5)
 
 
 class PredictionTable(Mapping):
@@ -500,17 +499,35 @@ def _read_as(kind, value):
     return converted
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict, refused when a key repeats."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise FormatError(f"invalid report JSON: repeated key {key!r}")
+        data[key] = value
+    return data
+
+
+def _exact(data, what: str, keys: tuple[str, ...]) -> dict:
+    """``data`` when it is a JSON object with exactly ``keys``, as write_report writes them."""
+    if not isinstance(data, dict) or data.keys() != set(keys):
+        raise FormatError(f"{what} must have exactly the keys {sorted(keys)}")
+    return data
+
+
 def read_report(text: str) -> ScoreReport:
-    """Parse a report written by :func:`write_report`; a value of another
-    JSON type than the one written there is refused."""
+    """Parse a report written by :func:`write_report`; a repeated key, a key
+    write_report does not write or a value of another JSON type than the one
+    written there is refused."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid report JSON: {exc}") from None
-    expected = {"dataset_map", "thresholds", "counts", "per_image", "undefined"}
-    if not isinstance(data, dict) or set(data) != expected:
-        raise FormatError(f"report must have exactly the keys {sorted(expected)}")
+    data = _exact(data, "report", ("dataset_map", "thresholds", "counts", "per_image", "undefined"))
     try:
+        per_image = [_exact(e, "per-image entry", ("patient_id", "average_precision")) for e in data["per_image"]]
+        counts = [_exact(c, "count", ("threshold", "tp", "fp", "fn")) for c in data["counts"]]
         return ScoreReport(
             dataset_map=_read_as(float, data["dataset_map"]),
             thresholds=tuple(_read_as(float, t) for t in data["thresholds"]),
@@ -519,11 +536,11 @@ def read_report(text: str) -> ScoreReport:
                     _read_as(str, entry["patient_id"]),
                     None if entry["average_precision"] is None else _read_as(float, entry["average_precision"]),
                 )
-                for entry in data["per_image"]
+                for entry in per_image
             ),
             counts=tuple(
                 ThresholdCounts(_read_as(float, c["threshold"]), *(_read_as(int, c[k]) for k in ("tp", "fp", "fn")))
-                for c in data["counts"]
+                for c in counts
             ),
             undefined=tuple(_read_as(str, u) for u in _read_as(list, data["undefined"])),
         )

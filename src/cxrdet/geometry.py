@@ -12,8 +12,8 @@ from operator import attrgetter
 
 import numpy as np
 
-__all__ = ["Box", "area", "intersection_area", "iou", "corners", "clip_corners", "box_columns", "iou_columns",
-           "iou_matrix"]
+__all__ = ["Box", "area", "intersection_area", "iou", "corners", "detection_rows", "clip_corners", "box_columns",
+           "iou_columns", "iou_matrix"]
 
 
 @dataclass(frozen=True, init=False)
@@ -100,6 +100,14 @@ def corners(boxes) -> np.ndarray:
     x_max, y_max) rows, read in one pass; a coordinate too large for a float
     raises OverflowError."""
     return np.fromiter(chain.from_iterable(map(_CORNERS, boxes)), float).reshape(-1, 4)
+
+
+def detection_rows(detections) -> np.ndarray:
+    """Detections (any iterable) as an (N, 5) float64 array of score, x_min,
+    y_min, x_max, y_max rows, read in one pass; a value too large for a float
+    raises OverflowError."""
+    values = chain.from_iterable((d.score, d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in detections)
+    return np.fromiter(values, float).reshape(-1, 5)
 
 
 def clip_corners(rows: np.ndarray, w: float, h: float) -> np.ndarray:

@@ -11,11 +11,13 @@ dataset's counts are FP = N - TP and FN = M - TP, N and M the sizes of all
 scored images. The one empty-image rule is ``_score_image``'s: an image
 with an empty side is never matched; with neither ground truth nor
 predictions it is excluded from the final mean, and with only one side it
-scores zero. Thresholds between
-which an image has no overlap form a band, and each band is walked once.
-Whether an overlap passes a threshold is decided in one place, the bisect
-that counts an image's failing overlaps; a walk is handed the least passing
-overlap and takes any best overlap that reaches it.
+scores zero. An overlap passes a threshold t when it reaches the
+threshold's floor, t itself with ``inclusive`` and else the next float64
+above t, so ``> t`` and ``>= t`` are one test. A walk picks each
+prediction's best unmatched box without looking at the threshold, so the
+walk made at one threshold stands at every later (larger) one while its
+least matched overlap still passes; the image is walked again only at a
+threshold where that overlap fails.
 
 Predictions are scored as table rows. ``score_dataset`` scores a
 ``PredictionTable``, the form ``formats.read_prediction_table`` reads, whose
@@ -43,7 +45,6 @@ and their weighted combination).
 
 import math
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
@@ -160,12 +161,13 @@ def _match(preds, gt, ts, inclusive, overlaps=None) -> list[MatchResult]:
 
     ``preds`` are the image's (n, 5) table rows, sorted once by score, and
     ``overlaps``, the image's rows from :func:`_overlaps` (computed here when
-    not given), are read as slices. A walk depends on a threshold only
-    through which overlaps pass it, so thresholds that no positive overlap
-    separates share one walk, and a band that no overlap passes needs none.
-    An empty side has no overlap, so no band is walked and every result is
-    ``MatchResult(0, n, m, ())``; the score path never gets here with one,
-    as ``_score_image`` holds its empty-image rule.
+    not given), are read as slices. The image is walked at the first
+    threshold, and each later threshold keeps the last walk while its least
+    matched overlap reaches that threshold's floor, else walks again: the
+    thresholds increase, and a walk's choices depend on a threshold only
+    through whether its matches pass. An empty side matches nothing, so every
+    result is ``MatchResult(0, n, m, ())``; the score path never gets here
+    with one, as ``_score_image`` holds its empty-image rule.
     """
     n, m = len(preds), len(gt)
     if overlaps is None:
@@ -173,26 +175,20 @@ def _match(preds, gt, ts, inclusive, overlaps=None) -> list[MatchResult]:
     neg_scores = (-preds[:, 0]).tolist()
     order = sorted(range(n), key=neg_scores.__getitem__)  # stable: ties keep input order
     rows = [(pi, overlaps[pi * m : (pi + 1) * m]) for pi in order]
-    # a walk only ever takes an overlap above 0.0, so nan (which fails every
-    # comparison, and would break sorting) never counts
-    positive = sorted([v for v in overlaps if v > 0.0])
-    # the pass rule, stated only here: the overlaps that fail t are those <= t,
-    # or those < t when inclusive, and the rest, positive[failing:], pass
-    count_failing = bisect_left if inclusive else bisect_right
     results = []
-    band = result = None
+    least = -math.inf  # no walk yet
     for t in ts:
-        failing = count_failing(positive, t)
-        if failing != band:  # an overlap lies between the previous threshold and t
-            band = failing
-            result = MatchResult(0, n, m, ()) if failing == len(positive) else _walk(rows, n, m, positive[failing])
+        floor = t if inclusive else math.nextafter(t, math.inf)  # the pass rule: an overlap passes t if >= floor
+        if least < floor:
+            result, least = _walk(rows, n, m, floor)
         results.append(result)
     return results
 
 
-def _walk(rows, n, m, floor) -> MatchResult:
+def _walk(rows, n, m, floor) -> tuple[MatchResult, float]:
     """One greedy walk over confidence-ordered overlap rows, in which a best
-    overlap passes when it reaches ``floor``, the least passing overlap (> 0)."""
+    overlap passes when it reaches ``floor`` (> 0, so nan and 0.0 never do);
+    returns the MatchResult and its least matched overlap, inf if none."""
     unmatched = list(range(m))
     pairs = []
     for pi, overlaps in rows:
@@ -208,7 +204,7 @@ def _walk(rows, n, m, floor) -> MatchResult:
             if not unmatched:
                 break
     tp = len(pairs)
-    return MatchResult(tp, n - tp, m - tp, tuple(pairs))
+    return MatchResult(tp, n - tp, m - tp, tuple(pairs)), min((v for _, _, v in pairs), default=math.inf)
 
 
 def match_boxes(preds, gt, t: float, *, inclusive: bool = False) -> MatchResult:

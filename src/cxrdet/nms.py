@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, box_columns, corners, iou, iou_columns  # noqa: F401  (bench/tracing.py wraps iou here)
+from .geometry import Box, box_columns, detection_rows, iou, iou_columns  # noqa: F401  (bench/tracing.py wraps iou here)
 
 __all__ = ["Detection", "NmsConfig", "nms", "HARD", "SOFT_LINEAR", "SOFT_GAUSSIAN"]
 
@@ -116,7 +116,8 @@ def nms(
         raise ValueError(f"max_keep must be non-negative: {max_keep!r}")
     dets = list(detections)
     limit = len(dets) if max_keep is None else min(max_keep, len(dets))
-    scores = np.array([d.score for d in dets], dtype=np.float64)  # -inf once a detection has left
+    rows = detection_rows(dets)
+    scores = rows[:, 0].copy()  # -inf once a detection has left
     classes = None
     if len({d.class_id for d in dets}) > 1:
         codes: dict = {}
@@ -124,7 +125,7 @@ def nms(
     cutoff = cfg.score_cutoff
     kept: list[Detection] = []
     with np.errstate(all="ignore"):  # huge boxes overflow to inf and nan, as in iou
-        cols = box_columns(corners(d.box for d in dets))
+        cols = box_columns(rows[:, 1:])
         matrix = iou_columns(cols[:, :, None], cols[:, None, :]) if len(dets) < _MATRIX_BELOW else None
         while len(kept) < limit:
             best = int(scores.argmax())  # first maximum: lowest input index

@@ -393,11 +393,13 @@ class TestStrictQuoting:
 
 
 def tiny_report():
+    """The report of p1 with one box found by its one prediction, p2 with a
+    prediction and no box, and p3 with neither."""
     return ScoreReport(
         dataset_map=0.5,
         thresholds=(0.4, 0.5),
         per_image=(("p1", 1.0), ("p2", 0.0), ("p3", None)),
-        counts=(ThresholdCounts(0.4, 1, 0, 0), ThresholdCounts(0.5, 1, 1, 0)),
+        counts=(ThresholdCounts(0.4, 1, 1, 0), ThresholdCounts(0.5, 1, 1, 0)),
     )
 
 
@@ -446,6 +448,51 @@ class TestReport:
         text = write_report(tiny_report()).replace('"undefined"', '"extra"')
         with pytest.raises(FormatError):
             read_report(text)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"dataset_map": 0.500000,', '"dataset_map": 0.500000, "dataset_map": 0.500000,',
+         "invalid report JSON: repeated key 'dataset_map'"),
+        ('"tp": 1,', '"tp": 7, "tp": 1,', "invalid report JSON: repeated key 'tp'"),
+        ('"patient_id": "p1",', '"patient_id": "p1", "patient_id": "p1",',
+         "invalid report JSON: repeated key 'patient_id'"),
+        ('"average_precision": 1.000000}', '"average_precision": 1.000000, "extra": [1]}',
+         "invalid report contents: per-image entry must have exactly the keys ['average_precision', 'patient_id']"),
+        ('"fn": 0}', '"fn": 0, "extra": 0}',
+         "invalid report contents: count must have exactly the keys ['fn', 'fp', 'threshold', 'tp']"),
+        ('"fn": 0}', '"fm": 0}',
+         "invalid report contents: count must have exactly the keys ['fn', 'fp', 'threshold', 'tp']"),
+        ('"per_image": [{', '"per_image": [7, {',
+         "invalid report contents: per-image entry must have exactly the keys ['average_precision', 'patient_id']"),
+    ], ids=["repeated-top-level", "repeated-count", "repeated-per-image", "extra-per-image", "extra-count",
+            "renamed-count", "not-an-object"])
+    def test_repeated_and_unknown_keys_rejected_at_every_level(self, old, new, message):
+        text = write_report(tiny_report())
+        assert old in text
+        with pytest.raises(FormatError) as info:
+            read_report(text.replace(old, new, 1))
+        assert str(info.value) == message
+
+    def test_top_level_key_message_is_kept(self):
+        with pytest.raises(FormatError) as info:
+            read_report("[]")
+        assert str(info.value) == (
+            "report must have exactly the keys ['counts', 'dataset_map', 'per_image', 'thresholds', 'undefined']"
+        )
+
+    @pytest.mark.parametrize("second", [(1, 2, 0), (1, 1, 1), (5, 0, 9)],
+                             ids=["more-predictions", "more-boxes", "both-differ"])
+    def test_counts_no_dataset_produces_rejected(self, second):
+        with pytest.raises(ValueError) as info:
+            ScoreReport(0.0, (0.4, 0.5), (), (ThresholdCounts(0.4, 1, 1, 0), ThresholdCounts(0.5, *second)))
+        assert str(info.value) == "counts must hold the same tp + fp and tp + fn at every threshold"
+
+    def test_counts_no_dataset_produces_not_read(self):
+        text = write_report(tiny_report()).replace('"tp": 1, "fp": 1, "fn": 0}]', '"tp": 5, "fp": 0, "fn": 9}]')
+        with pytest.raises(FormatError) as info:
+            read_report(text)
+        assert str(info.value) == (
+            "invalid report contents: counts must hold the same tp + fp and tp + fn at every threshold"
+        )
 
     def test_invalid_json_rejected(self):
         with pytest.raises(FormatError):
@@ -549,9 +596,10 @@ def random_wire_report(rng):
         if score is not None:
             scores.append(score)
     dmap = round(sum(scores) / len(scores), 6) if scores else 0.0
+    n_preds, n_boxes = rng.randint(0, 9), rng.randint(0, 9)  # every threshold matches the same two sets
     counts = tuple(
-        ThresholdCounts(t, rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
-        for t in thresholds
+        ThresholdCounts(t, tp, n_preds - tp, n_boxes - tp)
+        for t, tp in zip(thresholds, (rng.randint(0, min(n_preds, n_boxes)) for _ in thresholds))
     )
     undefined = () if scores else ("dataset_map",)
     return ScoreReport(dmap, tuple(thresholds), tuple(per_image), counts, undefined)

@@ -4,7 +4,7 @@ import random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cxrdet import (
@@ -167,11 +167,20 @@ threshold_sets = st.one_of(
 
 
 class TestBandedMatching:
-    """The matcher walks once per band of thresholds that no overlap
-    separates; it must equal one full walk per threshold."""
+    """The matcher walks at the first threshold and walks again only at a
+    threshold whose floor (t, or the next float above t when strict) its
+    last walk's least matched overlap fails; it must equal one full walk per
+    threshold."""
 
     @given(st.lists(st.builds(det, match_boxes_st, tied_scores), max_size=6),
            st.lists(match_boxes_st, max_size=5), threshold_sets, st.booleans(), st.booleans())
+    # no overlap passes the first threshold: one walk, kept at every threshold
+    @example([det(Box(0, 0, 4, 4), 0.5)], [Box(0, 0, 4, 1)], DEFAULT_THRESHOLDS, False, False)
+    # matched overlaps 0.5 and 0.75 sit exactly on thresholds, strict and inclusive
+    @example([det(Box(0, 0, 4, 2), 0.9), det(Box(10, 0, 14, 3), 0.5)], [Box(0, 0, 4, 4), Box(10, 0, 14, 4)],
+             DEFAULT_THRESHOLDS, False, False)
+    @example([det(Box(0, 0, 4, 2), 0.9), det(Box(10, 0, 14, 3), 0.5)], [Box(0, 0, 4, 4), Box(10, 0, 14, 4)],
+             DEFAULT_THRESHOLDS, True, False)
     def test_equals_one_walk_per_threshold(self, preds, gt, ts, inclusive, on_overlaps):
         if on_overlaps:  # every overlap in (0, 1) is a threshold too, so overlaps sit exactly on thresholds
             overlaps = {iou(p.box, g) for p in preds for g in gt}
@@ -188,7 +197,7 @@ class TestBandedMatching:
         assert [m.tp for m in got] == ([2, 2, 2, 2, 1] if inclusive else [2, 2, 2, 1, 1])
 
     def test_nan_overlaps_never_count(self):
-        # in the sorted overlaps a nan misleads bisect, which then finds no overlap above 0.25
+        # a nan overlap fails every comparison, so no walk takes it, however it sits among the others
         huge = Box(0.0, 0.0, 1e300, 1e300)
         gt = [huge, Box(0, 0, 4, 4)]
         preds = [det(Box(0, 2, 4, 6), 0.9), det(huge, 0.9)]  # overlaps (0, 1/3) and (nan, 0)
@@ -203,6 +212,15 @@ class TestBandedMatching:
         preds = [det(Box(0, 0, 4, 4), 0.5)] * n
         gt = [Box(0, 0, 4, 4)] * m
         assert _match(detection_rows(preds), gt, DEFAULT_THRESHOLDS, False) == [MatchResult(0, n, m, ())] * 8
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_an_unmatched_overlap_between_thresholds_costs_no_walk(self, inclusive):
+        gt = [Box(0, 0, 10, 10)]
+        preds = [det(Box(0, 0, 10, 9), 0.9), det(Box(0, 0, 10, 5.5), 0.5)]  # overlaps 0.9 and 0.55
+        with patch.object(metrics_module, "_walk", wraps=metrics_module._walk) as walk:
+            got = _match(detection_rows(preds), gt, DEFAULT_THRESHOLDS, inclusive)
+        assert walk.call_count == 1
+        assert [m.matched_pairs for m in got] == [((0, 0, 0.9),)] * len(DEFAULT_THRESHOLDS)
 
 
 zero_area_boxes = st.sampled_from([Box(2, 2, 2, 2), Box(0, 0, 0, 4), Box(1, 3, 5, 3)])
