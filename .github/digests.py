@@ -41,9 +41,10 @@ CLI_RUNS = (
     ("score-leaderboard", "score gt.csv preds.csv --out out.json"),
     ("score-leaderboard", "score gt.csv preds.csv --inclusive-iou --thresholds 0.3,0.5,0.9 --out out.json"),
     ("score-leaderboard", "score gt.csv preds.csv --thresholds 0.05:0.95:0.05 --out out.json"),
-    # over the reshaped copies write_reshaped makes; the split run's digest equals the first run's
+    # over the reshaped copies write_reshaped makes; the split and the line-end runs' digests equal the first run's
     ("score-leaderboard", "score gt.csv preds-split.csv --out out.json"),
     ("score-leaderboard", "score gt-subset.csv preds.csv --out out.json"),
+    ("score-leaderboard", "score gt-cr.csv preds-crlf.csv --out out.json"),
     *(("nms-raw", f"nms shard{s}.csv --mode {mode} --out out.csv")
       for s in (0, 1) for mode in ("hard", "soft-linear", "soft-gaussian")),
     *(("detect-image", f"preprocess film{s}.pgm {flags} --out out.pgm") for s in (0, 1) for flags in PREPROCESS_FLAGS),
@@ -87,7 +88,9 @@ def write_reshaped(work: Path, name: str) -> None:
     new row of the same id at the end of the file; repeated rows concatenate
     in file order, so it scores as ``preds.csv`` does. ``gt-subset.csv``
     drops every row of every tenth ground-truth image, which leaves those
-    images with predictions alone."""
+    images with predictions alone. ``preds-crlf.csv`` ends every line with
+    CRLF and ``gt-cr.csv`` with a lone CR, so the line splitter meets both
+    line ends at full scale; they score as the LF files do."""
     if name != "score-leaderboard":
         return
     rows, moved = (work / "preds.csv").read_text().splitlines(), []
@@ -103,6 +106,8 @@ def write_reshaped(work: Path, name: str) -> None:
     dropped = set(ids[9::10])
     kept = [row for row in rows[1:] if row.split(",")[0] not in dropped]
     (work / "gt-subset.csv").write_text("\n".join(rows[:1] + kept) + "\n")
+    (work / "preds-crlf.csv").write_text((work / "preds.csv").read_text().replace("\n", "\r\n"), newline="")
+    (work / "gt-cr.csv").write_text((work / "gt.csv").read_text().replace("\n", "\r"), newline="")
 
 
 def cli_digest(src: Path, work: Path, command: str) -> str:

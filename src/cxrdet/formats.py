@@ -25,16 +25,17 @@ speaks a single convention. Ground-truth boxes go through ``Box.from_xywh``.
 Predictions have one reader, ``read_prediction_table``: it reads a file into
 a ``PredictionTable``, one (N, 5) float64 array of score, x_min, y_min,
 x_max, y_max rows with an id and a row range per CSV row, and builds no
-object per detection. Every token goes through ``float``, ``x + w`` and
-``y + h`` are numpy adds (the same IEEE adds Python makes, so a -0.0 extent
-keeps its sign), and finiteness, the confidence range, negative extents and
-an ``x + w`` that overflows are checked over the whole array at once. When
-any row fails, the text is read again and each row walked token by token in
-row order (``_checked_tokens``, whose boxes go through the ground-truth
-reader's ordered check, ``_checked_box``), so the error names the first bad
-token, confidence or box and its line. ``read_predictions`` wraps the table
-reader and builds the public ``PredRecord``s from the table's rows. Unknown
-or missing columns are an error, LF and CRLF both parse, and floats are
+object per detection. Every token of every row goes through ``float`` in
+one stream into that array, ``x + w`` and ``y + h`` are numpy adds (the
+same IEEE adds Python makes, so a -0.0 extent keeps its sign), and
+finiteness, the confidence range, negative extents and an ``x + w`` that
+overflows are checked over the whole array at once. When any row fails, the
+text is read again and each row walked token by token in row order
+(``_checked_tokens``, whose boxes go through the ground-truth reader's
+ordered check, ``_checked_box``), so the error names the first bad token,
+confidence or box and its line. ``read_predictions`` wraps the table reader
+and builds the public ``PredRecord``s from the table's rows. Unknown or
+missing columns are an error, LF and CRLF both parse, and floats are
 written with ``repr`` so read(write(x)) round-trips bit-exactly.
 
 All three CSVs are read by one row loop: it checks the header and the field
@@ -45,8 +46,13 @@ named by its last line, as csv names its own errors. Quoting is strict: a
 quote never closed, or text after a closing quote, is such an error. Lines
 end only at LF, CRLF or a lone CR, in the CSVs and in the id lists
 ``read_ids`` reads, and ``decode_text`` names the line of a byte that is
-not UTF-8. Every CSV the package writes, these and the ``folds`` and
-``anchors`` tables, goes through ``write_csv``.
+not UTF-8. One splitter, ``_lines``, finds the lines for all of these: the
+standard library's ``io.StringIO(newline="")``, fed chunks of the text
+that each end just after the first LF at least 64 Ki chars in. Its copy of
+the text costs 4 bytes per char of one chunk, not of the whole file, and
+the longest line always sits inside one chunk. Every CSV the package
+writes, these and the ``folds`` and ``anchors`` tables, goes through
+``write_csv``.
 
 Score reports are JSON with a fixed key order and reals rendered to six
 decimal places; images excluded from the mean (no boxes and no predictions)
@@ -62,8 +68,6 @@ import csv
 import io
 import json
 import math
-import re
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
@@ -198,8 +202,20 @@ class ScoreReport:
             )
 
 
-# one line with its terminator; lines end only at LF, CRLF or a lone CR
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+_CHUNK = 1 << 16  # chars per line-splitting chunk; a chunk's UCS-4 copy takes 4 bytes per char
+
+
+def _lines(text: str):
+    """Each line of ``text`` with its terminator; lines end only at LF, CRLF
+    or a lone CR. ``io.StringIO(newline="")`` splits them so. It is fed one
+    chunk at a time, each ending just after the first LF at least ``_CHUNK``
+    chars past its start, or at the end of the text, so no CRLF is cut and
+    its copy of the text is one chunk's, which holds the longest line."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        yield from io.StringIO(text[start:stop], newline="")
+        start = stop
 
 
 def decode_text(data: bytes) -> str:
@@ -210,14 +226,14 @@ def decode_text(data: bytes) -> str:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # the bad byte starts or continues the last line of the valid prefix
-        lineno = len(_LINE.findall(exc.object[: exc.start].decode("utf-8") + "?"))
+        lineno = sum(1 for _ in _lines(exc.object[: exc.start].decode("utf-8") + "?"))
         raise FormatError(f"line {lineno}: invalid UTF-8 {exc.object[exc.start : exc.end]!r}: {exc.reason}") from None
 
 
 def read_ids(text: str) -> list[str]:
     """The stripped, non-blank lines of a text, one id each; lines end as in
     the CSVs, so a form feed or U+2028 stays inside an id."""
-    return [pid for m in _LINE.finditer(text) if (pid := m.group().strip())]
+    return [pid for line in _lines(text) if (pid := line.strip())]
 
 
 def _parse_rows(text: str, columns: tuple[str, ...], parse_row):
@@ -232,7 +248,7 @@ def _parse_rows(text: str, columns: tuple[str, ...], parse_row):
     # the limit is process-wide; no field can be longer than the whole text
     if len(text) > csv.field_size_limit():
         csv.field_size_limit(len(text))
-    reader = csv.reader((m.group() for m in _LINE.finditer(text)), strict=True)
+    reader = csv.reader(_lines(text), strict=True)
     try:
         header = next(reader, None)
         if header is None:
@@ -374,12 +390,15 @@ def _table(rows) -> PredictionTable:
     """The table of (patient_id, tokens) rows; raises ValueError when a
     value is not finite, a confidence lies outside [0, 1], an extent is
     negative or a corner overflows."""
-    ids, reals, bounds = [], array("d"), [0]
-    for patient_id, tokens in rows:
-        ids.append(patient_id)
-        reals.extend(map(float, tokens))
-        bounds.append(len(reals) // 5)
-    values = np.array(reals).reshape(-1, 5)  # score, x, y, w, h
+    ids, counts = [], []
+
+    def tokens():
+        for patient_id, row in rows:
+            ids.append(patient_id)
+            counts.append(len(row) // 5)
+            yield row
+
+    values = np.fromiter(map(float, chain.from_iterable(tokens())), float).reshape(-1, 5)  # score, x, y, w, h
     score, extents = values[:, 0], values[:, 3:]
     if not ((0.0 <= score) & (score <= 1.0)).all() or not (extents >= 0.0).all():  # nan fails both
         raise ValueError("a confidence or a box extent is out of range")
@@ -387,7 +406,7 @@ def _table(rows) -> PredictionTable:
         extents += values[:, 1:3]  # w + x is x + w: IEEE addition commutes, signed zeros included
     if not np.isfinite(values[:, 1:]).all():  # x, y, w, h finite, and no x + w overflows
         raise ValueError("a box is not finite")
-    return PredictionTable(values, ids, bounds)
+    return PredictionTable(values, ids, [0, *accumulate(counts)])
 
 
 def read_prediction_table(text: str) -> PredictionTable:

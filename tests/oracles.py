@@ -24,14 +24,20 @@ decoder once scanned its header byte by byte; that scanner is the reference
 for the one-pattern header reader. Augmentation once mapped its boxes one at
 a time, as corner tuples of Python floats clipped by ``max`` and ``min``;
 that loop is the reference for the array form clipped by ``clip_corners``.
+The CSV readers once split lines with one regular expression, and the
+predictions table was once built row by row in an ``array('d')``; both are
+kept as references for the chunked ``io.StringIO`` splitter and the one
+float stream.
 """
 
 import itertools
 import math
+import re
+from array import array
 
 import numpy as np
 
-from cxrdet.formats import PRED_COLUMNS, PredRecord, _parse_rows
+from cxrdet.formats import PRED_COLUMNS, PredictionTable, PredRecord, _parse_rows, _prediction_tokens
 from cxrdet.geometry import Box, iou
 from cxrdet.metrics import MatchResult
 from cxrdet.nms import Detection
@@ -450,6 +456,45 @@ def token_by_token_read_predictions(text):
     """The predictions reader that parses and checks one token at a time,
     raising at the first bad one."""
     return list(_parse_rows(text, PRED_COLUMNS, _token_by_token_row))
+
+
+# one line with its terminator; lines end only at LF, CRLF or a lone CR
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def regex_lines(text):
+    """The lines of ``text`` with their terminators, split by one regular expression."""
+    return _LINE.findall(text)
+
+
+def array_table(rows):
+    """The predictions table of (patient_id, tokens) rows, its reals
+    gathered row by row in an ``array('d')`` and copied into numpy; raises
+    ValueError on the rows the library's bulk checks refuse."""
+    ids, reals, bounds = [], array("d"), [0]
+    for patient_id, tokens in rows:
+        ids.append(patient_id)
+        reals.extend(map(float, tokens))
+        bounds.append(len(reals) // 5)
+    values = np.array(reals).reshape(-1, 5)  # score, x, y, w, h
+    score, extents = values[:, 0], values[:, 3:]
+    if not ((0.0 <= score) & (score <= 1.0)).all() or not (extents >= 0.0).all():
+        raise ValueError("a confidence or a box extent is out of range")
+    with np.errstate(all="ignore"):
+        extents += values[:, 1:3]
+    if not np.isfinite(values[:, 1:]).all():
+        raise ValueError("a box is not finite")
+    return PredictionTable(values, ids, bounds)
+
+
+def array_read_prediction_table(text):
+    """The predictions reader over ``array_table``; the token-by-token
+    reader names the error of a file the bulk checks refuse."""
+    try:
+        return array_table(_parse_rows(text, PRED_COLUMNS, _prediction_tokens))
+    except ValueError:
+        token_by_token_read_predictions(text)
+        raise
 
 
 def byte_loop_decode_pgm(data):

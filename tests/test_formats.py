@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cxrdet import (
@@ -24,8 +26,9 @@ from cxrdet import (
     write_predictions,
     write_report,
 )
-from cxrdet.formats import PredictionTable, read_prediction_table
-from oracles import token_by_token_read_predictions
+from cxrdet import formats
+from cxrdet.formats import PredictionTable, decode_text, read_ids, read_prediction_table
+from oracles import array_read_prediction_table, regex_lines, token_by_token_read_predictions
 
 GT_HEADER = "patientId,x,y,width,height,Target"
 
@@ -349,6 +352,99 @@ class TestPredictionTable:
         assert (table.ids, table.bounds) == (read.ids, read.bounds)
         assert table.values.view(np.int64).tolist() == read.values.view(np.int64).tolist()
         assert {p: table[p].tolist() for p in table} == {p: read[p].tolist() for p in read}
+
+
+# tokens float takes, signed zeros, exponents, underscores and non-ASCII
+# digits among them, then ones the bulk checks or float refuse
+TABLE_CONFIDENCES = ["0.9", "1", "0", "-0.0", "2.5e-1", "1_0e-1", "\u0661", "\u0660.\u0665", "1.5", "nan", "x"]
+TABLE_COORDINATES = ["10", "-0.0", "0", "1e3", "2.5E-2", "1_0", "\u0661\u0662", "1e308", "-3", "inf", "y"]
+
+
+@st.composite
+def table_texts(draw):
+    """Predictions files with repeated ids, empty strings, blank lines and LF or CRLF ends."""
+    lines = ["patientId,PredictionString"]
+    for _ in range(draw(st.integers(0, 5))):
+        clean = draw(st.integers(0, 3)) > 0
+        confidences = st.sampled_from(TABLE_CONFIDENCES[:8] if clean else TABLE_CONFIDENCES)
+        coordinates = st.sampled_from(TABLE_COORDINATES[:8] if clean else TABLE_COORDINATES)
+        tokens = []
+        for _ in range(draw(st.integers(0, 3))):
+            tokens.append(draw(confidences))
+            tokens.extend(draw(st.lists(coordinates, min_size=4, max_size=4)))
+        if not clean and draw(st.booleans()):
+            tokens = tokens[1:]  # a dangling token, or a 4-token string
+        lines.append(f"{draw(st.sampled_from(['p1', 'p2', ' p3 ']))},{' '.join(tokens)}")
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+class TestTableStream:
+    """Every token of every row goes through float in one stream; the table
+    must be bit for bit the one gathered row by row in an array('d')."""
+
+    @given(table_texts())
+    @example("patientId,PredictionString\r\np1,-0.0 \u0661 1_0 2.5E-2 -0.0\r\np1,\r\n")
+    @example("patientId,PredictionString\np1,0.5 1 1 1 1\np2,0.5 y 1 1 1\n")
+    def test_bit_identical_to_the_array_builder(self, text):
+        expected = read_outcome(array_read_prediction_table, text)
+        got = read_outcome(read_prediction_table, text)
+        if isinstance(expected, PredictionTable):
+            assert (got.values.shape, got.values.tobytes(), got.ids, got.bounds) == (
+                expected.values.shape, expected.values.tobytes(), expected.ids, expected.bounds)
+        else:
+            assert got == expected
+
+    def test_peak_memory_per_char(self):
+        # a score-sized file of 3 000 rows; the peak holds the table, one
+        # chunk's UCS-4 copy and the rows in flight, not a copy of the text.
+        # Here the chunked reader peaks at 2.5 bytes per char, a whole-file
+        # io.StringIO at 5.9 and rows gathered in an array('d') at 3.7
+        rng = random.Random(17)
+        lines = ["patientId,PredictionString"]
+        for i in range(3000):
+            tokens = []
+            for _ in range(rng.randint(0, 20)):
+                tokens.append(f"{rng.uniform(0.05, 1.0):.4f}")
+                tokens.extend(f"{rng.uniform(0, 900):.1f}" for _ in range(4))
+            lines.append(f"{i:08d}-0000-0000-0000-{rng.getrandbits(48):012x},{' '.join(tokens)}")
+        text = "\n".join(lines) + "\n"
+        assert len(text) > 1_000_000
+        tracemalloc.start()
+        try:
+            table = read_prediction_table(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 3000
+        assert peak < 3 * len(text)
+
+
+# CR and LF, the other line ends str.splitlines knows, NUL, lone surrogates, csv's quote and comma
+LINE_CHARS = ["\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\x00",
+              "\ud800", "\udfff", '"', ",", " ", "a"]
+
+
+class TestLineSplitter:
+    """Lines end only at LF, CRLF or a lone CR. With chunks of 1 to 8 chars,
+    CRLF pairs and long lines straddle chunk ends, and every split must
+    still equal the one-regex splitter's."""
+
+    @given(st.lists(st.sampled_from(LINE_CHARS), max_size=40).map("".join), st.integers(1, 8))
+    @example("ab\r\ncd", 3)
+    @example("a\rb\r\n\r", 2)
+    def test_equals_the_regex_splitter(self, text, chunk):
+        lines = regex_lines(text)
+        with mock.patch.object(formats, "_CHUNK", chunk):
+            assert list(formats._lines(text)) == lines
+            assert read_ids(text) == [line.strip() for line in lines if line.strip()]
+            # the first lone surrogate, or the byte after the text, is the first that is not UTF-8
+            good = text[: next((i for i, c in enumerate(text) if "\ud800" <= c <= "\udfff"), len(text))]
+            with pytest.raises(FormatError) as caught:
+                decode_text(text.encode("utf-8", "surrogatepass") + b"\xff")
+        assert str(caught.value).startswith(f"line {len(regex_lines(good + '?'))}: invalid UTF-8 ")
 
 
 class TestStrictQuoting:
