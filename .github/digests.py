@@ -49,6 +49,9 @@ CLI_RUNS = (
       for s in (0, 1) for mode in ("hard", "soft-linear", "soft-gaussian")),
     *(("detect-image", f"preprocess film{s}.pgm {flags} --out out.pgm") for s in (0, 1) for flags in PREPROCESS_FLAGS),
     ("detect-image", "anchors --grid 7x5 --scales 1,2 --out out.csv"),
+    # the workloads' anchor spec, and a base size whose corners overflow: that run exits 2 with Box's error
+    ("detect-image", "anchors --grid 32x32 --scales 2,4,8 --out out.csv"),
+    ("detect-image", "anchors --base-size 1e308 --scales 4 --grid 3x2 --out out.csv"),
     # reader errors, over the broken copies: each exits 2 and leaves out.* unwritten
     ("score-leaderboard", "score gt.csv bad-token.csv --out out.json"),
     ("score-leaderboard", "score gt.csv bad-token-crlf.csv --out out.json"),

@@ -4,6 +4,12 @@ Covers generating multi-scale anchor boxes over a feature-map grid,
 assigning overlap-based training labels against ground truth, converting
 boxes to and from center/log-size regression offsets, and turning scored
 boxes into a clipped, deduplicated proposal list.
+
+Anchors are tiled as one ``(N, 4)`` corners array by a single broadcast
+(``anchor_corners``); ``generate_anchors`` wraps it in ``Box`` objects.
+Proposal selection keeps its shortlist as score-and-corner rows for the
+NMS row walk (``nms.nms_rows``) and builds objects only for the proposals
+it returns.
 """
 
 import math
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box, clip_corners, corners, iou, iou_matrix  # noqa: F401  (bench/tracing.py wraps iou here)
-from .nms import HARD, Detection, NmsConfig, nms
+from .nms import HARD, Detection, NmsConfig, nms, nms_rows  # noqa: F401  (bench/tracing.py wraps nms here)
 
 __all__ = [
     "AnchorSpec",
@@ -21,6 +27,7 @@ __all__ = [
     "POSITIVE",
     "NEGATIVE",
     "IGNORE",
+    "anchor_corners",
     "generate_anchors",
     "label_anchors",
     "encode_box",
@@ -97,32 +104,35 @@ class BoxDelta:
                 raise ValueError(f"box delta must be finite: {self!r}")
 
 
-def generate_anchors(spec: AnchorSpec, grid_w: int, grid_h: int) -> list[Box]:
-    """Tile anchors over a grid_w x grid_h feature map.
+def anchor_corners(spec: AnchorSpec, grid_w: int, grid_h: int) -> np.ndarray:
+    """Tile anchors over a grid_w x grid_h feature map as an (N, 4) float64
+    array of (x_min, y_min, x_max, y_max) rows.
 
     Anchors are centered at ((i + 0.5) * stride, (j + 0.5) * stride) and
     emitted row-major over cells, ratio-major then scale-minor within each
-    cell, so the output length is grid_w * grid_h * anchors_per_cell, at
-    most MAX_ANCHORS.
+    cell, so N is grid_w * grid_h * anchors_per_cell, at most MAX_ANCHORS. A
+    corner that overflows raises the ValueError ``Box`` gives it.
     """
     if grid_w < 1 or grid_h < 1:
         raise ValueError(f"grid must be at least 1x1, got {grid_w}x{grid_h}")
     if grid_w * grid_h * spec.anchors_per_cell > MAX_ANCHORS:
         raise ValueError(f"{grid_w}x{grid_h} cells of {spec.anchors_per_cell} anchors exceed {MAX_ANCHORS} anchors")
-    half_sizes = []
-    for ratio in spec.ratios:
-        root = math.sqrt(ratio)
-        for scale in spec.scales:
-            side = spec.base_size * scale
-            half_sizes.append((0.5 * side / root, 0.5 * side * root))
-    anchors = []
-    for j in range(grid_h):
-        cy = (j + 0.5) * spec.stride
-        for i in range(grid_w):
-            cx = (i + 0.5) * spec.stride
-            for hw, hh in half_sizes:
-                anchors.append(Box(cx - hw, cy - hh, cx + hw, cy + hh))
-    return anchors
+    hw, hh = np.array([(0.5 * side / root, 0.5 * side * root) for root in map(math.sqrt, spec.ratios)
+                       for side in [spec.base_size * scale for scale in spec.scales]]).T
+    out = np.empty((grid_h, grid_w, len(hw), 4))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, as Box refuses them
+        cy = ((np.arange(grid_h) + 0.5) * float(spec.stride))[:, None, None]
+        cx = ((np.arange(grid_w) + 0.5) * float(spec.stride))[:, None]
+        out[..., 0], out[..., 1], out[..., 2], out[..., 3] = cx - hw, cy - hh, cx + hw, cy + hh
+    out = out.reshape(-1, 4)
+    if not np.isfinite(out).all():  # Box's error for the first anchor with a non-finite corner
+        Box(*out[~np.isfinite(out).all(axis=1)][0].tolist())
+    return out
+
+
+def generate_anchors(spec: AnchorSpec, grid_w: int, grid_h: int) -> list[Box]:
+    """:func:`anchor_corners` as one ``Box`` per anchor, in its order."""
+    return list(map(Box, *anchor_corners(spec, grid_w, grid_h).T.tolist()))
 
 
 def label_anchors(anchors, gt, pos_iou: float = 0.7, neg_iou: float = 0.3) -> list[AnchorLabel]:
@@ -222,8 +232,8 @@ def select_proposals(
     clipped = clip_corners(corners(boxes), image_w, image_h)
     order = np.flatnonzero(~(clipped[:, 2:] - clipped[:, :2] < min_size).any(axis=1))  # width, height
     order = order[np.argsort(-values[order], kind="stable")][:pre_top_n]
-    shortlist = [Detection(Box(*row), scores[i]) for i, row in zip(order.tolist(), clipped[order].tolist())]
+    rows = np.column_stack((values[order], clipped[order]))  # score, x_min, y_min, x_max, y_max
     cfg = NmsConfig(mode=HARD, iou_threshold=nms_iou)
     # stop at post_top_n picks; a negative post_top_n still slices the full result
-    kept = nms(shortlist, cfg, max_keep=post_top_n if post_top_n >= 0 else None)
-    return kept[:post_top_n]
+    picks = nms_rows(rows, cfg, max_keep=post_top_n if post_top_n >= 0 else None)[:post_top_n]
+    return [Detection(Box(*rows[i, 1:].tolist()), score) for i, score in picks]

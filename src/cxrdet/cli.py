@@ -26,7 +26,7 @@ import random
 import sys
 from collections import Counter
 
-from .anchors import MAX_ANCHORS, AnchorSpec, generate_anchors
+from .anchors import MAX_ANCHORS, AnchorSpec, anchor_corners
 from .formats import (
     PredRecord,
     decode_text,
@@ -130,9 +130,7 @@ def _cmd_nms(args) -> int:
 
 def _cmd_anchors(args) -> int:
     spec = AnchorSpec(args.base_size, tuple(args.scales), tuple(args.ratios), args.stride)
-    grid_w, grid_h = args.grid
-    boxes = generate_anchors(spec, grid_w, grid_h)
-    rows = ((b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes)
+    rows = anchor_corners(spec, *args.grid).tolist()
     _write_text(args.out, write_csv(("x_min", "y_min", "x_max", "y_max"), rows))
     return 0
 

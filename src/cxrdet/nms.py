@@ -18,6 +18,10 @@ matter how small their input score, so fully disjoint inputs always pass
 through untouched. ``max_keep`` stops the walk after that many picks: each
 pick is final, so the result is exactly the first ``max_keep`` detections of
 the full output, and proposal selection walks only as far as it keeps.
+
+The walk itself, ``nms_rows``, reads ``(n, 5)`` score-and-corner rows and
+returns ``(row index, final score)`` per pick; ``nms`` is its wrapper for
+``Detection`` objects, and proposal selection hands it array rows.
 """
 
 import math
@@ -27,7 +31,7 @@ import numpy as np
 
 from .geometry import Box, box_columns, detection_rows, iou, iou_columns  # noqa: F401  (bench/tracing.py wraps iou here)
 
-__all__ = ["Detection", "NmsConfig", "nms", "HARD", "SOFT_LINEAR", "SOFT_GAUSSIAN"]
+__all__ = ["Detection", "NmsConfig", "nms", "nms_rows", "HARD", "SOFT_LINEAR", "SOFT_GAUSSIAN"]
 
 HARD = "hard"
 SOFT_LINEAR = "soft-linear"
@@ -100,40 +104,30 @@ class NmsConfig:
         return rivals[hit], factor[hit]
 
 
-def nms(
-    detections, config: NmsConfig | None = None, *, max_keep: int | None = None
-) -> list[Detection]:
-    """Suppress overlapping detections; returns survivors with decayed scores.
-
-    Output is sorted by final score descending, ties broken by input order
-    (the greedy pick order already guarantees both), and holds the input's
-    own boxes. Detections with distinct class ids never suppress each other.
-    With ``max_keep`` the walk stops after that many picks, so the result is
-    the first ``max_keep`` of the full output.
-    """
+def nms_rows(rows: np.ndarray, config: NmsConfig | None = None, classes=None, *,
+             max_keep: int | None = None) -> list[tuple[int, float]]:
+    """The greedy walk over an (n, 5) float64 array of score, x_min, y_min,
+    x_max, y_max rows; returns ``(row index, final score)`` per pick, in pick
+    order. ``classes`` is None or n integer codes, and rows with distinct codes
+    never suppress each other. With ``max_keep`` the walk stops after that
+    many picks."""
     cfg = config if config is not None else NmsConfig()
     if max_keep is not None and max_keep < 0:
         raise ValueError(f"max_keep must be non-negative: {max_keep!r}")
-    dets = list(detections)
-    limit = len(dets) if max_keep is None else min(max_keep, len(dets))
-    rows = detection_rows(dets)
-    scores = rows[:, 0].copy()  # -inf once a detection has left
-    classes = None
-    if len({d.class_id for d in dets}) > 1:
-        codes: dict = {}
-        classes = np.array([codes.setdefault(d.class_id, len(codes)) for d in dets], dtype=np.intp)
+    limit = len(rows) if max_keep is None else min(max_keep, len(rows))
+    scores = rows[:, 0].copy()  # -inf once a row has left
     cutoff = cfg.score_cutoff
-    kept: list[Detection] = []
+    picks: list[tuple[int, float]] = []
     with np.errstate(all="ignore"):  # huge boxes overflow to inf and nan, as in iou
         cols = box_columns(rows[:, 1:])
-        matrix = iou_columns(cols[:, :, None], cols[:, None, :]) if len(dets) < _MATRIX_BELOW else None
-        while len(kept) < limit:
-            best = int(scores.argmax())  # first maximum: lowest input index
+        matrix = iou_columns(cols[:, :, None], cols[:, None, :]) if len(rows) < _MATRIX_BELOW else None
+        while len(picks) < limit:
+            best = int(scores.argmax())  # first maximum: lowest row index
             score = scores.item(best)
             if score == -math.inf:
                 break
             scores[best] = -math.inf
-            kept.append(Detection(dets[best].box, score, dets[best].class_id))
+            picks.append((best, score))
             live = scores != -math.inf
             if classes is not None:
                 live &= classes == classes[best]
@@ -145,4 +139,22 @@ def nms(
             rivals, factor = cfg._decay(rivals, overlap)
             decayed = scores[rivals] * factor
             scores[rivals] = np.where(decayed < cutoff, -math.inf, decayed)
-    return kept
+    return picks
+
+
+def nms(detections, config: NmsConfig | None = None, *, max_keep: int | None = None) -> list[Detection]:
+    """Suppress overlapping detections; returns survivors with decayed scores.
+
+    Output is sorted by final score descending, ties broken by input order
+    (the greedy pick order already guarantees both), and holds the input's
+    own boxes. Detections with distinct class ids never suppress each other.
+    With ``max_keep`` the walk stops after that many picks, so the result is
+    the first ``max_keep`` of the full output.
+    """
+    dets = list(detections)
+    classes = None
+    if len({d.class_id for d in dets}) > 1:
+        codes: dict = {}
+        classes = np.array([codes.setdefault(d.class_id, len(codes)) for d in dets], dtype=np.intp)
+    picks = nms_rows(detection_rows(dets), config, classes, max_keep=max_keep)
+    return [Detection(dets[i].box, score, dets[i].class_id) for i, score in picks]

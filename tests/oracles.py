@@ -27,7 +27,10 @@ that loop is the reference for the array form clipped by ``clip_corners``.
 The CSV readers once split lines with one regular expression, and the
 predictions table was once built row by row in an ``array('d')``; both are
 kept as references for the chunked ``io.StringIO`` splitter and the one
-float stream.
+float stream. Anchors were once tiled one ``Box`` at a time in a loop over
+rows, columns and shapes, and proposal selection once wrapped its whole
+shortlist in ``Detection`` objects for ``nms``; both are kept as references
+for the one-broadcast tiling and the row walk on the shortlist.
 """
 
 import itertools
@@ -38,9 +41,10 @@ from array import array
 import numpy as np
 
 from cxrdet.formats import PRED_COLUMNS, PredictionTable, PredRecord, _parse_rows, _prediction_tokens
-from cxrdet.geometry import Box, iou
+from cxrdet.anchors import MAX_ANCHORS
+from cxrdet.geometry import Box, clip_corners, corners, iou
 from cxrdet.metrics import MatchResult
-from cxrdet.nms import Detection
+from cxrdet.nms import HARD, Detection, NmsConfig, nms
 
 PGM_MAX_SIDE = 1 << 16  # the longest film side the decoder accepts
 
@@ -258,6 +262,52 @@ def list_bin_taps(cells, bins):
     stops = [-(-(k + 1) * cells // bins) for k in range(bins)]
     span = max(b - a for a, b in zip(starts, stops))
     return [[min(a + d, b - 1) for a, b in zip(starts, stops)] for d in range(span)]
+
+
+def looped_anchors(spec, grid_w, grid_h):
+    """Anchors tiled one ``Box`` at a time: row-major over cells, ratio-major
+    then scale-minor within a cell."""
+    if grid_w < 1 or grid_h < 1:
+        raise ValueError(f"grid must be at least 1x1, got {grid_w}x{grid_h}")
+    if grid_w * grid_h * spec.anchors_per_cell > MAX_ANCHORS:
+        raise ValueError(f"{grid_w}x{grid_h} cells of {spec.anchors_per_cell} anchors exceed {MAX_ANCHORS} anchors")
+    half_sizes = []
+    for ratio in spec.ratios:
+        root = math.sqrt(ratio)
+        for scale in spec.scales:
+            side = spec.base_size * scale
+            half_sizes.append((0.5 * side / root, 0.5 * side * root))
+    anchors = []
+    for j in range(grid_h):
+        cy = (j + 0.5) * spec.stride
+        for i in range(grid_w):
+            cx = (i + 0.5) * spec.stride
+            for hw, hh in half_sizes:
+                anchors.append(Box(cx - hw, cy - hh, cx + hw, cy + hh))
+    return anchors
+
+
+def object_select_proposals(boxes, scores, image_w, image_h, *, pre_top_n=1000, post_top_n=100, nms_iou=0.5,
+                            min_size=1.0):
+    """Proposal selection that wraps every shortlisted row in a ``Box`` and a
+    ``Detection`` and hands the list to ``nms``."""
+    boxes = list(boxes)
+    scores = list(scores)
+    if len(boxes) != len(scores):
+        raise ValueError(f"got {len(boxes)} boxes but {len(scores)} scores")
+    if not (image_w > 0 and image_h > 0):
+        raise ValueError(f"image size must be positive, got {image_w}x{image_h}")
+    values = np.array(scores, dtype=np.float64)
+    valid = (values >= 0.0) & (values <= 1.0)
+    if not valid.all():
+        raise ValueError(f"proposal score must be in [0, 1]: {scores[int(valid.argmin())]!r}")
+    clipped = clip_corners(corners(boxes), image_w, image_h)
+    order = np.flatnonzero(~(clipped[:, 2:] - clipped[:, :2] < min_size).any(axis=1))
+    order = order[np.argsort(-values[order], kind="stable")][:pre_top_n]
+    shortlist = [Detection(Box(*row), scores[i]) for i, row in zip(order.tolist(), clipped[order].tolist())]
+    cfg = NmsConfig(mode=HARD, iou_threshold=nms_iou)
+    kept = nms(shortlist, cfg, max_keep=post_top_n if post_top_n >= 0 else None)
+    return kept[:post_top_n]
 
 
 def tuple_corners(boxes):

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cxrdet import (
@@ -24,9 +24,16 @@ from cxrdet import (
     select_proposals,
 )
 from cxrdet import anchors as anchors_module
-from cxrdet.anchors import MAX_ANCHORS
+from cxrdet.anchors import MAX_ANCHORS, anchor_corners
+from cxrdet.nms import nms_rows
 from helpers import random_detections, random_positive_box
-from oracles import brute_force_hard_nms, property_decode_box, scalar_label_anchors
+from oracles import (
+    brute_force_hard_nms,
+    looped_anchors,
+    object_select_proposals,
+    property_decode_box,
+    scalar_label_anchors,
+)
 
 side = st.integers(min_value=0, max_value=10)
 
@@ -133,6 +140,50 @@ class TestGenerate:
         spec = AnchorSpec(16, (8, 16, 32), (0.5, 1, 2), 16)
         with pytest.raises(ValueError, match=f"{grid_w}x{grid_h} cells of 9 anchors exceed {MAX_ANCHORS} anchors"):
             generate_anchors(spec, grid_w, grid_h)
+
+
+# anchor parameters from subnormal through everyday to overflowing sizes
+anchor_params = st.one_of(
+    st.floats(min_value=0.1, max_value=64.0),
+    st.integers(1, 64),
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=1e300, max_value=1.7976931348623157e308),
+)
+
+
+@st.composite
+def anchor_specs(draw):
+    sizes = st.lists(anchor_params, min_size=1, max_size=3)
+    return AnchorSpec(draw(anchor_params), tuple(draw(sizes)), tuple(draw(sizes)), draw(anchor_params))
+
+
+def hexes(rows):
+    return [[v.hex() for v in row] for row in rows]
+
+
+class TestAnchorCorners:
+    """The broadcast tiling equals the per-anchor loop bit for bit, and
+    refuses an overflowing corner with the loop's error."""
+
+    @given(anchor_specs(), st.integers(1, 6), st.integers(1, 6))
+    @example(AnchorSpec(1e308, (4.0,), (0.5, 1.0, 2.0), 16.0), 3, 2)  # base size overflows
+    @example(AnchorSpec(16.0, (1.0,), (1.0,), 1e308), 3, 2)  # stride overflows from the third cell
+    @example(AnchorSpec(5e-324, (5e-324,), (1.0,), 5e-324), 2, 2)  # sizes underflow to zero
+    def test_equals_the_per_anchor_loop(self, spec, grid_w, grid_h):
+        try:
+            want = looped_anchors(spec, grid_w, grid_h)
+        except ValueError as exc:
+            for tile in (anchor_corners, generate_anchors):
+                with pytest.raises(ValueError) as info:
+                    tile(spec, grid_w, grid_h)
+                assert str(info.value) == str(exc)
+            return
+        want_rows = hexes((a.x_min, a.y_min, a.x_max, a.y_max) for a in want)
+        rows = anchor_corners(spec, grid_w, grid_h)
+        assert rows.dtype == np.float64 and rows.shape == (len(want), 4)
+        assert hexes(rows.tolist()) == want_rows
+        boxes = generate_anchors(spec, grid_w, grid_h)
+        assert hexes((a.x_min, a.y_min, a.x_max, a.y_max) for a in boxes) == want_rows
 
 
 class TestLabels:
@@ -351,11 +402,11 @@ class TestSelectProposals:
     def test_nms_stops_at_post_top_n(self, monkeypatch, post_top_n, max_keep):
         seen = []
 
-        def spy(dets, config=None, *, max_keep=None):
+        def spy(rows, config=None, classes=None, *, max_keep=None):
             seen.append(max_keep)
-            return nms(dets, config, max_keep=max_keep)
+            return nms_rows(rows, config, classes, max_keep=max_keep)
 
-        monkeypatch.setattr(anchors_module, "nms", spy)
+        monkeypatch.setattr(anchors_module, "nms_rows", spy)
         select_proposals([Box(0, 0, 10, 10), Box(1, 1, 11, 11)], [0.9, 0.8], 100, 100, post_top_n=post_top_n)
         assert seen == [max_keep]
 
@@ -381,6 +432,45 @@ class TestSelectProposals:
         # on a box the size filter drops
         with pytest.raises(ValueError, match="score"):
             select_proposals([*boxes, Box(0, 0, 0.5, 10)], [0.9, 0.8, 0.7, bad], 100, 100)
+
+
+@st.composite
+def proposal_inputs(draw):
+    """Boxes in half pixels reaching past a 100 x 100 image, so clipping,
+    duplicates and the size filter all bite, with scores from a few values,
+    so ties are common, as floats or numpy scalars."""
+    coord = st.integers(-20, 220).map(lambda v: v / 2)
+    boxes = []
+    for _ in range(draw(st.integers(0, 40))):
+        x0, x1 = sorted((draw(coord), draw(coord)))
+        y0, y1 = sorted((draw(coord), draw(coord)))
+        boxes.append(Box(x0, y0, x1, y1))
+    kind = draw(st.sampled_from((float, np.float64, np.float32)))
+    score = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(0.0, 1.0))
+    return boxes, [kind(draw(score)) for _ in boxes]
+
+
+class TestSelectProposalsReference:
+    """Selection on shortlist rows equals the object shortlist handed to nms."""
+
+    @given(
+        proposal_inputs(),
+        st.integers(-3, 45),
+        st.integers(-3, 12),
+        st.sampled_from((0.3, 0.5, 0.7)),
+        st.sampled_from((0.0, 1.0, 3.5)),
+    )
+    def test_equals_the_object_shortlist(self, inputs, pre_top_n, post_top_n, nms_iou, min_size):
+        boxes, scores = inputs
+        kwargs = dict(pre_top_n=pre_top_n, post_top_n=post_top_n, nms_iou=nms_iou, min_size=min_size)
+        got = select_proposals(boxes, scores, 100, 100, **kwargs)
+        want = object_select_proposals(boxes, scores, 100, 100, **kwargs)
+
+        def fields(props):
+            return [(type(p.score), p.score.hex(), *(type(v) for v in p.box.to_xywh()),
+                     *hexes([(p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max)])[0], p.class_id) for p in props]
+
+        assert fields(got) == fields(want)
 
 
 def as_scalars(box, kind):

@@ -438,7 +438,7 @@ class TestResourceCaps:
         def exhausted(*args):
             raise exc
 
-        monkeypatch.setattr(cli, "generate_anchors", exhausted)
+        monkeypatch.setattr(cli, "anchor_corners", exhausted)
         assert main(["anchors"]) == 2
         assert capsys.readouterr().err == message
 

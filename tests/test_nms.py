@@ -4,12 +4,13 @@ import random
 import warnings
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxrdet import HARD, SOFT_GAUSSIAN, SOFT_LINEAR, Box, Detection, NmsConfig, iou, nms
-from cxrdet.nms import _MATRIX_BELOW
+from cxrdet.nms import _MATRIX_BELOW, nms_rows
 
 nms_module = importlib.import_module("cxrdet.nms")  # the package's own name nms is the function
 from helpers import random_detections
@@ -189,6 +190,21 @@ class TestScalarReference:
         assert [(id(d.box), d.score.hex(), d.class_id) for d in out] == [
             (id(dets[i].box), score.hex(), dets[i].class_id) for i, score in ref
         ]
+
+    @given(
+        crowded_detections(),
+        st.sampled_from((HARD, SOFT_LINEAR, SOFT_GAUSSIAN)),
+        st.booleans(),
+        st.sampled_from((None, 0, 1, 3)),
+    )
+    def test_row_core_picks_equal_scalar_loop(self, dets, mode, with_classes, max_keep):
+        rows = np.array([(d.score, d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in dets]).reshape(-1, 5)
+        codes = {None: 0, 0: 1, 1: 2}
+        classes = np.array([codes[d.class_id] for d in dets], dtype=np.intp) if with_classes else None
+        picks = nms_rows(rows, NmsConfig(mode=mode), classes, max_keep=max_keep)
+        ref = scalar_nms([(box, score, cls if with_classes else None) for box, score, cls in triples(dets)],
+                         mode, 0.5, 0.5, 0.001)[:max_keep]
+        assert [(type(i), i, score.hex()) for i, score in picks] == [(int, i, score.hex()) for i, score in ref]
 
     def test_vanishing_linear_decay_matches_scalar_loop(self):
         # an overlap of about 2**-60 is above the threshold, but 1 - overlap rounds to 1: no decay
