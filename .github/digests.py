@@ -45,6 +45,8 @@ CLI_RUNS = (
     ("score-leaderboard", "score gt.csv preds-split.csv --out out.json"),
     ("score-leaderboard", "score gt-subset.csv preds.csv --out out.json"),
     ("score-leaderboard", "score gt-cr.csv preds-crlf.csv --out out.json"),
+    # one image of 1 000 predictions and 3 boxes: 3 000 pairs, more than one overlap pass holds
+    ("nms-raw", "score gt-shard.csv shard0.csv --out out.json"),
     *(("nms-raw", f"nms shard{s}.csv --mode {mode} --out out.csv")
       for s in (0, 1) for mode in ("hard", "soft-linear", "soft-gaussian")),
     *(("detect-image", f"preprocess film{s}.pgm {flags} --out out.pgm") for s in (0, 1) for flags in PREPROCESS_FLAGS),
@@ -93,7 +95,16 @@ def write_reshaped(work: Path, name: str) -> None:
     drops every row of every tenth ground-truth image, which leaves those
     images with predictions alone. ``preds-crlf.csv`` ends every line with
     CRLF and ``gt-cr.csv`` with a lone CR, so the line splitter meets both
-    line ends at full scale; they score as the LF files do."""
+    line ends at full scale; they score as the LF files do. For ``nms-raw``,
+    ``gt-shard.csv`` holds, for each image of ``shard0.csv``, the boxes of
+    its first three detections as target-1 rows."""
+    if name == "nms-raw":
+        rows = ["patientId,x,y,width,height,Target"]
+        for row in (work / "shard0.csv").read_text().splitlines()[1:]:
+            pid, string = row.split(",")
+            tokens = string.split()
+            rows += [f"{pid},{','.join(tokens[k + 1 : k + 5])},1" for k in range(0, 15, 5)]
+        (work / "gt-shard.csv").write_text("\n".join(rows) + "\n")
     if name != "score-leaderboard":
         return
     rows, moved = (work / "preds.csv").read_text().splitlines(), []

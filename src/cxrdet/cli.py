@@ -25,6 +25,7 @@ import math
 import random
 import sys
 from collections import Counter
+from itertools import chain
 
 from .anchors import MAX_ANCHORS, AnchorSpec, anchor_corners
 from .formats import (
@@ -103,9 +104,9 @@ def _write_text(path: str | None, text: str) -> None:
 def _cmd_score(args) -> int:
     gt = group_ground_truth(read_ground_truth(_read_text(args.gt)))
     preds = read_prediction_table(_read_text(args.pred))
-    report = score_dataset(
-        gt, preds, args.thresholds, inclusive=args.inclusive_iou, workers=args.workers
-    )
+    if args.workers < 1:
+        raise ValueError(f"workers must be at least 1: {args.workers!r}")
+    report = score_dataset(gt, preds, args.thresholds, inclusive=args.inclusive_iou)
     if args.out is not None:
         _write_text(args.out, write_report(report))
     print(f"{report.dataset_map:.6f}")
@@ -130,7 +131,9 @@ def _cmd_nms(args) -> int:
 
 def _cmd_anchors(args) -> int:
     spec = AnchorSpec(args.base_size, tuple(args.scales), tuple(args.ratios), args.stride)
-    rows = anchor_corners(spec, *args.grid).tolist()
+    corners = anchor_corners(spec, *args.grid)
+    # 4 096-row lists at a time: one list of every row would outweigh the text
+    rows = chain.from_iterable(corners[i : i + 4096].tolist() for i in range(0, len(corners), 4096))
     _write_text(args.out, write_csv(("x_min", "y_min", "x_max", "y_max"), rows))
     return 0
 

@@ -26,17 +26,20 @@ Detections, the library form, becomes one such table at its top, and
 ``match_boxes`` and ``average_precision`` take their Detections as one
 image's rows, so one core scores all three. Scores are compared as float64.
 
-Overlaps are batched. ``score_dataset`` runs images together up to a budget
-of pairs and takes every (prediction, ground truth) overlap of a run in one
-``iou_columns`` pass over pair columns built by ``np.repeat``; an image over
-the budget alone goes in bands of prediction rows, so temporaries stay
-bounded for any input, and each image reads its overlaps as slices of one
-flat list. ``match_boxes`` and ``average_precision`` are one-image runs of
-the same path. Overlaps come from float64 corners, as in ``nms`` and
-``label_anchors``, so they equal ``iou`` bit for bit on float coordinates.
-On Python int coordinates ``iou`` computes exactly, so the two can differ
-in the last bit once a coordinate or an area passes 2**53, and a coordinate
-too large for any float raises OverflowError here.
+Overlaps are batched. Every (prediction, ground truth) pair of every image
+with both sides is one position of a flat stream, image after image, and
+``score_dataset`` takes the stream in passes of a fixed budget of pairs,
+one ``iou_columns`` pass each, gathered from corner columns taken once per
+call; an image reads its overlaps off the stream as one flat list, so it
+may span passes. Memory grows with the predictions and boxes of those
+images (their columns and index arrays, about a hundred bytes each), not
+with their pairs, besides one pass's temporaries and the current image's
+list of overlaps. ``match_boxes`` and ``average_precision`` are one-image
+streams of the same path. Overlaps come from float64 corners, as in
+``nms`` and ``label_anchors``, so they equal ``iou`` bit for bit on float
+coordinates. On Python int coordinates ``iou`` computes exactly, so the two
+can differ in the last bit once a coordinate or an area passes 2**53, and a
+coordinate too large for any float raises OverflowError here.
 
 Also here: binary-classification confusion metrics, seeded k-fold
 splitting, and pointwise loss evaluation (smooth L1, binary cross-entropy,
@@ -46,7 +49,7 @@ and their weighted combination).
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -74,8 +77,8 @@ __all__ = [
 DEFAULT_THRESHOLDS = (0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75)
 MAX_THRESHOLDS = 1000  # the most a lo:hi:step range may hold
 
-# (prediction, ground truth) pairs per iou_columns pass: a run's temporaries
-# stay a few dozen KB however many images are scored
+# (prediction, ground truth) pairs per iou_columns pass: a pass's temporaries
+# stay a few dozen KB however many pairs are scored
 _PAIR_BUDGET = 2048
 
 _NO_ROWS = np.empty((0, 5))  # the table rows of an image without predictions
@@ -112,48 +115,39 @@ class MatchResult:
 
 
 def _overlaps(images):
-    """Yield (preds, gt, overlaps) for each (preds, gt) image, ``preds`` its
-    (n, 5) table rows and ``gt`` its Boxes: prediction i's overlaps are
-    ``overlaps[i * m:(i + 1) * m]``, and there are none when a side is empty.
+    """Yield (preds, gt, overlaps) for each (preds, gt) image of the sequence
+    ``images``, ``preds`` its (n, 5) table rows and ``gt`` its Boxes:
+    prediction i's overlaps are ``overlaps[i * m:(i + 1) * m]``, and there
+    are none when a side is empty.
 
-    Images run together until the next would take the run past _PAIR_BUDGET
-    pairs, and each run is one iou_columns pass; an image over the budget
-    alone is passed in bands of as many prediction rows as fit, at least one.
+    The pairs of the images with both sides form one flat stream, image after
+    image, prediction-major, boxes in file order, taken _PAIR_BUDGET pairs at
+    a time in one iou_columns pass each. Pair k belongs to the first live
+    prediction whose cumulative pair count passes k, and its box index is
+    that prediction's offset plus k. Each image reads its n * m values off
+    the stream, so an image may span passes.
     """
-    run, pairs = [], 0
-    for preds, gt in images:
-        size = len(preds) * len(gt)
-        if pairs + size > _PAIR_BUDGET:
-            yield from _run_overlaps(run)
-            run, pairs = [], 0
-        if size <= _PAIR_BUDGET:
-            run.append((preds, gt))
-            pairs += size
-            continue
-        step = max(1, _PAIR_BUDGET // len(gt))
-        bands = (_run_overlaps([(preds[r0 : r0 + step], gt)])[0][2] for r0 in range(0, len(preds), step))
-        yield preds, gt, [v for band in bands for v in band]
-    yield from _run_overlaps(run)
-
-
-def _run_overlaps(run) -> list:
-    """(preds, gt, overlaps) for each image of a run, every overlap of the
-    run taken in one iou_columns pass over pair columns built by np.repeat."""
-    live = [(preds, gt) for preds, gt in run if len(preds) and gt]
-    if not live:
-        return [(preds, gt, []) for preds, gt in run]
-    n = np.array([len(preds) for preds, _ in live])
-    m = np.array([len(gt) for _, gt in live])
-    per_pred = np.repeat(m, n)  # each prediction's row length
-    pair_starts = np.cumsum(per_pred) - per_pred
-    gt_starts = np.repeat(np.cumsum(m) - m, n)
-    pred_index = np.repeat(np.arange(len(per_pred)), per_pred)
-    gt_index = np.arange(len(pred_index)) + np.repeat(gt_starts - pair_starts, per_pred)
-    a = box_columns(np.concatenate([preds for preds, _ in live])[:, 1:])
+    live = [(preds, gt) for preds, gt in images if len(preds) and gt]
+    n = [len(preds) for preds, _ in live]
+    m = np.array([len(gt) for _, gt in live], dtype=int)
+    per_pred = np.repeat(m, n)  # each live prediction's row length
+    ends = np.cumsum(per_pred)
+    offsets = np.repeat(np.cumsum(m) - m, n) - (ends - per_pred)  # box index less pair index
+    a = box_columns(np.concatenate([preds for preds, _ in live] or [_NO_ROWS])[:, 1:])
     b = box_columns(corners(g for _, gt in live for g in gt))
-    with np.errstate(all="ignore"):  # huge boxes overflow to inf and nan, as in iou
-        flat = iter(iou_columns(a[:, pred_index], b[:, gt_index]).tolist())
-    return [(preds, gt, list(islice(flat, len(preds) * len(gt)))) for preds, gt in run]
+    total = int(per_pred.sum())
+
+    def chunk(start):
+        k = np.arange(start, min(start + _PAIR_BUDGET, total))
+        p = np.searchsorted(ends, k, side="right")
+        with np.errstate(all="ignore"):  # huge boxes overflow to inf and nan, as in iou
+            return iou_columns(a[:, p], b[:, offsets[p] + k]).tolist()
+
+    # chunk leaves errstate before it returns: a generator suspended inside the
+    # block would leak the setting to its caller, as numpy keeps it in a context variable
+    flat = chain.from_iterable(map(chunk, range(0, total, _PAIR_BUDGET)))
+    for preds, gt in images:
+        yield preds, gt, list(islice(flat, len(preds) * len(gt)))
 
 
 def _match(preds, gt, ts, inclusive, overlaps=None) -> list[MatchResult]:
@@ -257,7 +251,6 @@ def score_dataset(
     thresholds=DEFAULT_THRESHOLDS,
     *,
     inclusive: bool = False,
-    workers: int = 1,
 ) -> ScoreReport:
     """Score a dataset and return the full report.
 
@@ -266,12 +259,9 @@ def score_dataset(
     its (n, 5) table rows, or a mapping of image id -> Detections, which is
     made one here, so one core scores both. Images are the union of both key
     sets, evaluated in sorted-id order so the report is identical regardless
-    of input ordering. ``workers`` is accepted and must be at least 1, but
-    has no effect: scoring runs serially.
+    of input ordering.
     """
     ts = validate_thresholds(thresholds)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1: {workers!r}")
     if not isinstance(predictions, PredictionTable):
         predictions = PredictionTable.from_detections(predictions)
     ids = sorted(set(gt_boxes) | set(predictions))

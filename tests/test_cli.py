@@ -114,6 +114,17 @@ class TestScore:
         assert out1.read_bytes() == out8.read_bytes()
         assert read_report(out1.read_text()).thresholds == (0.5, 0.6, 0.7, 0.8, 0.9)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_must_be_at_least_one(self, tmp_path, capsys, workers):
+        gt, preds, out = tmp_path / "gt.csv", tmp_path / "preds.csv", tmp_path / "report.json"
+        gt.write_text(GT_TEXT)
+        preds.write_text(PERFECT_PREDS)
+        assert main(["score", str(gt), str(preds), "--out", str(out), "--workers", str(workers)]) == 2
+        assert capsys.readouterr().err == f"error: workers must be at least 1: {workers!r}\n"
+        assert not out.exists()
+        # checked once both files are read: a missing file is reported first
+        assert main(["score", str(tmp_path / "nope.csv"), str(preds), "--workers", str(workers)]) == 1
+
     def test_bad_threshold_spec_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["score", "a", "b", "--thresholds", "0.9:0.1:0.1"])

@@ -3,6 +3,7 @@ import math
 import random
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -275,10 +276,17 @@ def pass_sizes(budget, run):
         return run(), sizes
 
 
+def stream_passes(pairs, budget):
+    """The pass sizes of a stream of ``pairs`` pairs: each pass holds the
+    budget or, the last, the pairs left."""
+    return [min(budget, pairs - start) for start in range(0, pairs, budget)]
+
+
 class TestBatchedOverlaps:
-    """score_dataset takes every overlap of a run of images in one pass, runs
-    cut by a pair budget; whatever the budget, it equals one walk per
-    threshold over the scalar iou of each image on its own."""
+    """score_dataset takes the pairs of all images as one flat stream, cut into
+    passes of exactly the pair budget but the last, and an image may span
+    passes; whatever the budget, it equals one walk per threshold over the
+    scalar iou of each image on its own."""
 
     @given(datasets(), threshold_sets, st.booleans(), st.sampled_from((1, 2, 3, 5, 8, 2048)))
     def test_equals_the_per_image_oracle(self, data, ts, inclusive, budget):
@@ -287,9 +295,9 @@ class TestBatchedOverlaps:
         per_image, totals = per_image_oracle(gt_boxes, predictions, ts, inclusive)
         assert report.per_image == tuple(per_image)
         assert [(c.tp, c.fp, c.fn) for c in report.counts] == [tuple(t) for t in totals]
-        widest = max((len(g) for g in gt_boxes.values()), default=0)
-        assert all(0 < size <= max(budget, widest) for size in sizes)
+        assert all(0 < size <= budget for size in sizes)
         pairs = sum(len(predictions.get(p, ())) * len(gt_boxes.get(p, ())) for p in set(gt_boxes) | set(predictions))
+        assert sizes == stream_passes(pairs, budget)
         assert sum(sizes) == pairs
 
     @pytest.mark.parametrize("inclusive", [False, True])
@@ -302,8 +310,8 @@ class TestBatchedOverlaps:
                                     for _ in range(n)]
         ts = (0.1, 0.3, 0.5)
         report, sizes = pass_sizes(5, lambda: score_dataset(gt_boxes, predictions, ts, inclusive=inclusive))
-        # a run closes before the image that would take it past 5 pairs: 4 | 3 + 0 + 0 + 2 | 4 + 1 + 0
-        assert sizes == [4, 5, 5]
+        # 4 + 3 + 2 + 4 + 1 pairs in passes of 5: p1 (pairs 4-6) and p5 (pairs 9-12) each span two passes
+        assert sizes == [5, 5, 4]
         per_image, totals = per_image_oracle(gt_boxes, predictions, ts, inclusive)
         assert report.per_image == tuple(per_image)
         assert [(c.tp, c.fp, c.fn) for c in report.counts] == [tuple(t) for t in totals]
@@ -315,12 +323,12 @@ class TestBatchedOverlaps:
         preds = [det(random_positive_box(rng, hi=30, min_side=3), round(rng.random(), 1)) for _ in range(7)]
         preds += [det(g, 0.5) for g in gt]  # exact copies, so some overlaps pass every threshold
         ts = (0.2, 0.5, 0.8)
-        for run in (lambda: score_dataset({"a": gt, "b": gt[:1]}, {"a": preds, "b": preds[:1]}, ts,
-                                          inclusive=inclusive),
-                    lambda: _match(detection_rows(preds), gt, ts, inclusive)):
+        # 10 x 3 pairs, then 1 x 1, over a budget of 7: passes cut rows and images alike
+        for run, expected in ((lambda: score_dataset({"a": gt, "b": gt[:1]}, {"a": preds, "b": preds[:1]}, ts,
+                                                     inclusive=inclusive), [7, 7, 7, 7, 3]),
+                              (lambda: _match(detection_rows(preds), gt, ts, inclusive), [7, 7, 7, 7, 2])):
             result, sizes = pass_sizes(7, run)
-            # 10 x 3 pairs over a budget of 7: bands of 2 rows, then the next image
-            assert sizes[:5] == [6, 6, 6, 6, 6]
+            assert sizes == expected
         assert result == per_threshold_match(preds, gt, ts, inclusive)
         report, _ = pass_sizes(7, lambda: score_dataset({"a": gt}, {"a": preds}, ts, inclusive=inclusive))
         assert report.per_image == tuple(per_image_oracle({"a": gt}, {"a": preds}, ts, inclusive)[0])
@@ -329,8 +337,26 @@ class TestBatchedOverlaps:
         gt = [Box(k, 0, k + 2, 2) for k in range(6)]
         preds = [det(Box(1, 0, 3, 2), 0.9), det(Box(4, 0, 6, 2), 0.8)]
         result, sizes = pass_sizes(4, lambda: _match(detection_rows(preds), gt, DEFAULT_THRESHOLDS, False))
-        assert sizes == [6, 6]
+        # 2 rows of 6 pairs in passes of 4: each row spans two passes
+        assert sizes == [4, 4, 4]
         assert result == per_threshold_match(preds, gt, DEFAULT_THRESHOLDS, False)
+        report, sizes = pass_sizes(4, lambda: score_dataset({"a": gt, "b": gt[:1]}, {"a": preds, "b": preds}, (0.3,)))
+        assert sizes == [4, 4, 4, 2]
+        assert report.per_image == tuple(per_image_oracle({"a": gt, "b": gt[:1]}, {"a": preds, "b": preds}, (0.3,),
+                                                          False)[0])
+
+    def test_a_suspended_stream_leaves_the_callers_errstate_alone(self):
+        # numpy keeps errstate in a context variable, which a generator shares
+        # with its caller, so the stream must leave errstate before each yield
+        huge = Box(0.0, 0.0, 1e300, 1e300)  # its overlaps overflow inside the passes
+        rows = detection_rows([det(huge, 0.9), det(Box(0, 0, 4, 4), 0.5), det(huge, 0.1)])
+        images = [(rows, [huge, Box(0, 0, 4, 4)])] * 3
+        before = np.geterr()
+        with patch.object(metrics_module, "_PAIR_BUDGET", 4):
+            stream = metrics_module._overlaps(images)
+            for _ in images:
+                next(stream)
+                assert np.geterr() == before
 
     def test_integer_coordinates_past_2_53_are_taken_as_floats(self):
         # the documented edge: as in nms and label_anchors, overlaps come from
@@ -421,22 +447,6 @@ class TestScoreDataset:
         report = score_dataset({"a": []}, {}, (0.5,))
         assert report.dataset_map == 0.0
         assert report.undefined == ("dataset_map",)
-
-    def test_workers_do_not_change_the_report(self):
-        rng = random.Random(61)
-        gt = {}
-        preds = {}
-        for i in range(40):
-            pid = f"p{i:03d}"
-            gt[pid] = [random_positive_box(rng) for _ in range(rng.randint(0, 3))]
-            preds[pid] = [det(random_positive_box(rng), round(rng.random(), 3)) for _ in range(rng.randint(0, 4))]
-        assert score_dataset(gt, preds, workers=1) == score_dataset(gt, preds, workers=8)
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_must_be_at_least_one(self, workers):
-        with pytest.raises(ValueError) as info:
-            score_dataset({}, {}, workers=workers)
-        assert str(info.value) == f"workers must be at least 1: {workers!r}"
 
     def test_perfect_predictions_score_one(self):
         rng = random.Random(67)
