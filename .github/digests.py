@@ -11,9 +11,10 @@ when the check fails.
 
 Then each command of ``CLI_RUNS`` runs as ``cxrdet`` in a fresh process
 from ``SRC``, in the directory of that seed's workload inputs, beside the
-broken copies ``write_broken`` makes of them, so reader errors are pinned
-too, and the reshaped copies ``write_reshaped`` makes, so repeated rows and
-prediction-only images are pinned at full scale. Keys are
+reshaped copies ``write_reshaped`` makes, so repeated rows and
+prediction-only images are pinned at full scale and ``folds`` and
+``classify`` read inputs of that size, and beside the broken copies
+``write_broken`` makes of both, so reader errors are pinned too. Keys are
 ``cli/seed/command``; a value is the exit code and one digest of stdout,
 stderr and the ``--out`` file's bytes. Two trees whose objects are equal
 produce the same bytes on every benchmark input and CLI run::
@@ -59,14 +60,29 @@ CLI_RUNS = (
     ("score-leaderboard", "score gt.csv bad-token-crlf.csv --out out.json"),
     ("score-leaderboard", "score bad-target.csv preds.csv --out out.json"),
     ("nms-raw", "nms bad-confidence.csv --mode soft-gaussian --out out.csv"),
+    # the id list and labels file write_reshaped derives, then their broken copies, which exit 2
+    ("score-leaderboard", "folds ids.txt --k 5 --seed 7 --out out.csv"),
+    ("score-leaderboard", "classify labels.csv --out out.json"),
+    ("score-leaderboard", "folds ids-repeated.txt --k 5 --seed 7 --out out.csv"),
+    ("score-leaderboard", "classify bad-truth.csv --out out.json"),
 )
 RUN_CLI = "import sys; from cxrdet.cli import main; sys.exit(main())"
 
 
 def write_broken(work: Path, name: str) -> None:
     """Write into ``work`` the broken copies of workload ``name``'s input files
-    there. Each differs from its source in one value of one single-line row."""
+    there, and of the id list and labels file :func:`write_reshaped` derives
+    from them. Each differs from its source in one value of one single-line
+    row: ``ids-repeated.txt`` repeats the first id in the middle line, and
+    ``bad-truth.csv`` has a truth of 2 in its middle row."""
     if name == "score-leaderboard":
+        ids = (work / "ids.txt").read_text().split("\n")
+        ids[len(ids) // 2] = ids[0]
+        (work / "ids-repeated.txt").write_text("\n".join(ids), newline="")
+        labels = (work / "labels.csv").read_text().split("\n")
+        pid, _, pred = labels[len(labels) // 2].split(",")
+        labels[len(labels) // 2] = f"{pid},2,{pred}"
+        (work / "bad-truth.csv").write_text("\n".join(labels), newline="")
         preds = (work / "preds.csv").read_text().split("\n")
         # the first row from the middle on that holds detections: its x becomes non-numeric
         i = next(i for i in range(len(preds) // 2, len(preds)) if preds[i].split(",")[1])
@@ -95,7 +111,10 @@ def write_reshaped(work: Path, name: str) -> None:
     drops every row of every tenth ground-truth image, which leaves those
     images with predictions alone. ``preds-crlf.csv`` ends every line with
     CRLF and ``gt-cr.csv`` with a lone CR, so the line splitter meets both
-    line ends at full scale; they score as the LF files do. For ``nms-raw``,
+    line ends at full scale; they score as the LF files do. ``ids.txt`` lists
+    the ground-truth ids, one per line, for ``folds``, and ``labels.csv``
+    gives ``classify`` each of them with its ``Target`` as truth and 1 as
+    pred when ``preds.csv`` holds a detection for it. For ``nms-raw``,
     ``gt-shard.csv`` holds, for each image of ``shard0.csv``, the boxes of
     its first three detections as target-1 rows."""
     if name == "nms-raw":
@@ -122,6 +141,11 @@ def write_reshaped(work: Path, name: str) -> None:
     (work / "gt-subset.csv").write_text("\n".join(rows[:1] + kept) + "\n")
     (work / "preds-crlf.csv").write_text((work / "preds.csv").read_text().replace("\n", "\r\n"), newline="")
     (work / "gt-cr.csv").write_text((work / "gt.csv").read_text().replace("\n", "\r"), newline="")
+    truth = {pid: target for pid, *_, target in (row.split(",") for row in rows[1:])}
+    detected = {row.split(",")[0] for row in (work / "preds.csv").read_text().splitlines()[1:] if row.split(",")[1]}
+    (work / "ids.txt").write_text("".join(f"{pid}\n" for pid in truth))
+    (work / "labels.csv").write_text("patientId,truth,pred\n" + "".join(
+        f"{pid},{target},{int(pid in detected)}\n" for pid, target in truth.items()))
 
 
 def cli_digest(src: Path, work: Path, command: str) -> str:
@@ -154,8 +178,8 @@ def digests(src: Path) -> dict:
                 work.mkdir()
                 workload = wl_class(api, seed, work)
                 workload.prepare(api)
-                write_broken(work, name)
                 write_reshaped(work, name)
+                write_broken(work, name)
                 for i in range(workload.inputs):
                     result = workload.op(api, i)
                     try:

@@ -31,7 +31,7 @@ from .formats import (
     write_predictions,
     write_report,
 )
-from .geometry import Box, area, intersection_area, iou
+from .geometry import Box, Detection, area, intersection_area, iou
 from .metrics import (
     DEFAULT_THRESHOLDS,
     ClassificationMetrics,
@@ -48,7 +48,7 @@ from .metrics import (
     threshold_range,
     total_loss,
 )
-from .nms import HARD, SOFT_GAUSSIAN, SOFT_LINEAR, Detection, NmsConfig, nms
+from .nms import HARD, SOFT_GAUSSIAN, SOFT_LINEAR, NmsConfig, nms
 from .preprocess import (
     AugmentSpec,
     augment,

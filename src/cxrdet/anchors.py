@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, clip_corners, corners, iou, iou_matrix  # noqa: F401  (bench/tracing.py wraps iou here)
-from .nms import HARD, Detection, NmsConfig, nms, nms_rows  # noqa: F401  (bench/tracing.py wraps nms here)
+from .geometry import Box, Detection, clip_corners, corners, iou, iou_matrix  # noqa: F401  (bench/tracing.py wraps iou here)
+from .nms import HARD, NmsConfig, nms, nms_rows  # noqa: F401  (bench/tracing.py wraps nms here)
 
 __all__ = [
     "AnchorSpec",

@@ -59,7 +59,8 @@ decimal places; images excluded from the mean (no boxes and no predictions)
 appear with a ``null`` score. ``read_report`` holds one exact-keys rule for
 the report, its counts and its per-image entries, and refuses a repeated
 key in any object; a ``ScoreReport`` refuses counts whose ``tp + fp`` or
-``tp + fn`` differ between thresholds, which no dataset produces.
+``tp + fn`` differ between thresholds, and a per-image id that repeats,
+which no dataset produces.
 ``write_json_object`` lays out every JSON object the package writes, one
 field per line.
 """
@@ -74,8 +75,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .geometry import Box, detection_rows
-from .nms import Detection
+from .geometry import Box, Detection, detection_rows
 
 __all__ = [
     "FormatError",
@@ -190,7 +190,11 @@ class ScoreReport:
         # every threshold matches the same predictions (tp + fp) against the same boxes (tp + fn)
         if len({(c.tp + c.fp, c.tp + c.fn) for c in self.counts}) > 1:
             raise ValueError("counts must hold the same tp + fp and tp + fn at every threshold")
+        seen = set()
         for pid, score in self.per_image:
+            if pid in seen:  # score_dataset scores a set of ids
+                raise ValueError(f"per-image ids must be unique: {pid!r} repeats")
+            seen.add(pid)
             if score is not None and not 0.0 <= score <= 1.0:
                 raise ValueError(f"per-image score out of range for {pid!r}: {score!r}")
         present = [s for _, s in self.per_image if s is not None]
@@ -345,13 +349,6 @@ class PredictionTable(Mapping):
             parts.setdefault(pid, []).append(values[start:stop])
         self._rows = {pid: rows[0] if len(rows) == 1 else _read_only(np.concatenate(rows))
                       for pid, rows in parts.items()}
-
-    @classmethod
-    def from_detections(cls, predictions) -> "PredictionTable":
-        """A mapping of patient id -> Detections as a table, one row range per id."""
-        ids = list(predictions)
-        groups = [list(predictions[pid]) for pid in ids]
-        return cls(detection_rows(chain.from_iterable(groups)), ids, [0, *accumulate(map(len, groups))])
 
     def __getitem__(self, patient_id) -> np.ndarray:
         return self._rows[patient_id]

@@ -1,8 +1,11 @@
-"""Axis-aligned box geometry: areas, overlaps, intersection over union.
+"""Axis-aligned box geometry: areas, overlaps, intersection over union,
+and the scored box that proposals, NMS and scoring pass along.
 
 Boxes are stored corner-form (x_min, y_min, x_max, y_max) in continuous
 pixel coordinates, with no pixel-inclusive "+1" convention. All arithmetic
-is double precision.
+is double precision. A ``Detection`` is a ``Box`` with a score and an
+optional class id; ``detection_rows`` turns Detections into the (N, 5)
+score-and-corner rows that NMS and scoring read.
 """
 
 import math
@@ -12,8 +15,8 @@ from operator import attrgetter
 
 import numpy as np
 
-__all__ = ["Box", "area", "intersection_area", "iou", "corners", "detection_rows", "clip_corners", "box_columns",
-           "iou_columns", "iou_matrix"]
+__all__ = ["Box", "Detection", "area", "intersection_area", "iou", "corners", "detection_rows", "clip_corners",
+           "box_columns", "iou_columns", "iou_matrix"]
 
 
 @dataclass(frozen=True, init=False)
@@ -62,6 +65,24 @@ class Box:
     @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
+
+
+@dataclass(frozen=True, init=False)
+class Detection:
+    """A scored box, optionally tagged with a class id."""
+
+    box: Box
+    score: float
+    class_id: int | None = None
+
+    # written out rather than generated, as Box's is, so a detection is built in one call frame
+    def __init__(self, box: Box, score: float, class_id: int | None = None):
+        if not 0.0 <= score <= 1.0:  # nan and the infinities fail it too
+            raise ValueError(f"detection score must be in [0, 1]: {score!r}")
+        setattr_ = object.__setattr__
+        setattr_(self, "box", box)
+        setattr_(self, "score", score)
+        setattr_(self, "class_id", class_id)
 
 
 def area(box: Box) -> float:

@@ -22,9 +22,9 @@ threshold where that overlap fails.
 Predictions are scored as table rows. ``score_dataset`` scores a
 ``PredictionTable``, the form ``formats.read_prediction_table`` reads, whose
 rows per image are (n, 5) float64 arrays of score and corners; a mapping of
-Detections, the library form, becomes one such table at its top, and
-``match_boxes`` and ``average_precision`` take their Detections as one
-image's rows, so one core scores all three. Scores are compared as float64.
+Detections, the library form, becomes ``{id: detection_rows(dets)}``, rows
+per image, at its top, and ``match_boxes`` and ``average_precision`` take
+their Detections as one image's rows, so one core scores all three. Scores are compared as float64.
 
 Overlaps are batched. Every (prediction, ground truth) pair of every image
 with both sides is one position of a flat stream, image after image, and
@@ -53,8 +53,8 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .formats import PredictionTable, ScoreReport, ThresholdCounts, detection_rows, validate_thresholds
-from .geometry import box_columns, corners, iou, iou_columns  # noqa: F401  (bench/tracing.py wraps iou here)
+from .formats import PredictionTable, ScoreReport, ThresholdCounts, validate_thresholds
+from .geometry import box_columns, corners, detection_rows, iou, iou_columns  # noqa: F401  (bench/tracing.py wraps iou here)
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
@@ -256,14 +256,14 @@ def score_dataset(
 
     ``gt_boxes`` maps image id -> ground-truth Boxes (empty for negative
     images); ``predictions`` is a ``PredictionTable``, which maps image id ->
-    its (n, 5) table rows, or a mapping of image id -> Detections, which is
-    made one here, so one core scores both. Images are the union of both key
+    its (n, 5) table rows, or a mapping of image id -> Detections, whose
+    ``detection_rows`` are taken per image here, so one core scores both. Images are the union of both key
     sets, evaluated in sorted-id order so the report is identical regardless
     of input ordering.
     """
     ts = validate_thresholds(thresholds)
     if not isinstance(predictions, PredictionTable):
-        predictions = PredictionTable.from_detections(predictions)
+        predictions = {i: detection_rows(dets) for i, dets in predictions.items()}
     ids = sorted(set(gt_boxes) | set(predictions))
     images = [(predictions.get(i, _NO_ROWS), list(gt_boxes.get(i, ()))) for i in ids]
     results = [_score_image(preds, gt, ts, inclusive, overlaps) for preds, gt, overlaps in _overlaps(images)]

@@ -21,7 +21,8 @@ the full output, and proposal selection walks only as far as it keeps.
 
 The walk itself, ``nms_rows``, reads ``(n, 5)`` score-and-corner rows and
 returns ``(row index, final score)`` per pick; ``nms`` is its wrapper for
-``Detection`` objects, and proposal selection hands it array rows.
+``Detection`` objects (defined in ``geometry`` and re-exported here), whose
+rows ``detection_rows`` reads, and proposal selection hands it array rows.
 """
 
 import math
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, box_columns, detection_rows, iou, iou_columns  # noqa: F401  (bench/tracing.py wraps iou here)
+from .geometry import Detection, box_columns, detection_rows, iou, iou_columns  # noqa: F401  (bench/tracing.py wraps iou here)
 
 __all__ = ["Detection", "NmsConfig", "nms", "nms_rows", "HARD", "SOFT_LINEAR", "SOFT_GAUSSIAN"]
 
@@ -43,24 +44,6 @@ _MODES = (HARD, SOFT_LINEAR, SOFT_GAUSSIAN)
 # call, which costs fewer numpy calls per pick; at and above it each pick
 # computes its own row, so the work stays linear in memory
 _MATRIX_BELOW = 128
-
-
-@dataclass(frozen=True, init=False)
-class Detection:
-    """A scored box, optionally tagged with a class id."""
-
-    box: Box
-    score: float
-    class_id: int | None = None
-
-    # written out rather than generated, as Box's is, so a detection is built in one call frame
-    def __init__(self, box: Box, score: float, class_id: int | None = None):
-        if not 0.0 <= score <= 1.0:  # nan and the infinities fail it too
-            raise ValueError(f"detection score must be in [0, 1]: {score!r}")
-        setattr_ = object.__setattr__
-        setattr_(self, "box", box)
-        setattr_(self, "score", score)
-        setattr_(self, "class_id", class_id)
 
 
 @dataclass(frozen=True)

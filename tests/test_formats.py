@@ -28,6 +28,7 @@ from cxrdet import (
 )
 from cxrdet import formats
 from cxrdet.formats import PredictionTable, decode_text, read_ids, read_prediction_table
+from cxrdet.geometry import detection_rows
 from oracles import array_read_prediction_table, regex_lines, token_by_token_read_predictions
 
 GT_HEADER = "patientId,x,y,width,height,Target"
@@ -339,6 +340,9 @@ class TestPredictionTable:
             assert not rows.flags.writeable
 
     def test_from_detections_equals_the_read_table(self):
+        """The rows detection_rows takes from each id's Detections, as
+        score_dataset takes them, equal the table read back from the written
+        file, bit for bit."""
         rng = random.Random(131)
         predictions = {}
         for i in range(12):
@@ -347,11 +351,12 @@ class TestPredictionTable:
                 x, y = rng.uniform(0, 500), rng.uniform(0, 500)
                 dets.append(Detection(Box.from_xywh(x, y, rng.uniform(0, 100), rng.uniform(0, 100)), rng.random()))
             predictions[f"p{i:02d}"] = dets
-        table = PredictionTable.from_detections(predictions)
+        rows = {p: detection_rows(d) for p, d in predictions.items()}
         read = read_prediction_table(write_predictions(PredRecord(p, d) for p, d in predictions.items()))
-        assert (table.ids, table.bounds) == (read.ids, read.bounds)
-        assert table.values.view(np.int64).tolist() == read.values.view(np.int64).tolist()
-        assert {p: table[p].tolist() for p in table} == {p: read[p].tolist() for p in read}
+        assert (list(rows), [0, *np.cumsum([len(r) for r in rows.values()]).tolist()]) == (read.ids, read.bounds)
+        assert np.concatenate(list(rows.values())).view(np.int64).tolist() == read.values.view(np.int64).tolist()
+        assert {p: r.view(np.int64).tolist() for p, r in rows.items()} == {
+            p: read[p].view(np.int64).tolist() for p in read}
 
 
 # tokens float takes, signed zeros, exponents, underscores and non-ASCII
@@ -648,6 +653,17 @@ class TestReport:
         with pytest.raises(ValueError) as info:
             ScoreReport(score, (0.5,), (("p1", score),), (ThresholdCounts(0.5, 1, 0, 0),))
         assert str(info.value) == f"per-image score out of range for 'p1': {score!r}"
+
+    def test_per_image_ids_must_be_unique(self):
+        with pytest.raises(ValueError) as info:
+            ScoreReport(0.5, (0.5,), (("p1", 1.0), ("p1", 0.0)), (ThresholdCounts(0.5, 1, 1, 0),))
+        assert str(info.value) == "per-image ids must be unique: 'p1' repeats"
+
+    def test_repeated_per_image_id_not_read(self):
+        text = write_report(tiny_report()).replace('"patient_id": "p2"', '"patient_id": "p1"')
+        with pytest.raises(FormatError) as info:
+            read_report(text)
+        assert str(info.value) == "invalid report contents: per-image ids must be unique: 'p1' repeats"
 
 
 class TestLabels:

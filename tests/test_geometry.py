@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cxrdet.geometry
 from cxrdet import Box, area, intersection_area, iou
 from cxrdet.geometry import clip_corners, corners, iou_matrix
 from oracles import raster_iou, tuple_corners
@@ -79,6 +81,13 @@ class TestBox:
         box = Box(0, 0, 4, 2)
         assert box.center == (2.0, 1.0)
         assert (box.width, box.height) == (4.0, 2.0)
+
+
+def test_detection_has_one_home():
+    """Detection is defined in geometry, beside Box; the package and nms re-export that one class."""
+    nms_module = importlib.import_module("cxrdet.nms")  # cxrdet.nms is the function the package re-exports
+    assert cxrdet.Detection is nms_module.Detection is cxrdet.geometry.Detection
+    assert cxrdet.Detection.__module__ == "cxrdet.geometry"
 
 
 class TestArea:

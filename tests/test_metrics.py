@@ -15,21 +15,25 @@ from cxrdet import (
     ConfusionCounts,
     Detection,
     MatchResult,
+    PredRecord,
     average_precision,
     binary_cross_entropy,
     confusion_metrics,
+    group_predictions,
     kfold_split,
     match_boxes,
     mean_average_precision,
+    read_predictions,
     score_dataset,
     smooth_l1,
     threshold_range,
     total_loss,
+    write_predictions,
 )
-from cxrdet.formats import detection_rows
+from cxrdet.formats import detection_rows, read_prediction_table
 from cxrdet.geometry import iou
 from cxrdet.metrics import MAX_THRESHOLDS, _match, validate_thresholds
-from helpers import random_positive_box
+from helpers import random_detections, random_int_box, random_positive_box
 from oracles import greedy_consistent_assignments, per_threshold_match
 
 metrics_module = importlib.import_module("cxrdet.metrics")
@@ -453,6 +457,22 @@ class TestScoreDataset:
         gt = {f"p{i}": [random_positive_box(rng) for _ in range(rng.randint(1, 3))] for i in range(10)}
         preds = {pid: [det(b, 1.0) for b in boxes] for pid, boxes in gt.items()}
         assert score_dataset(gt, preds).dataset_map == 1.0
+
+    def test_detections_score_as_the_read_table_does(self):
+        """A Detections mapping, taken as rows per image, and the table read
+        from the same predictions file give equal reports."""
+        rng = random.Random(83)
+        gt, records = {}, []
+        for _ in range(40):
+            pid = f"p{rng.randint(0, 24):02d}"  # ids repeat across rows
+            gt.setdefault(pid, [random_int_box(rng, hi=40) for _ in range(rng.randint(0, 3))])
+            records.append(PredRecord(pid, random_detections(rng, rng.randint(0, 4))))
+        text = write_predictions(records)
+        detections = group_predictions(read_predictions(text))
+        for ts, inclusive in ((DEFAULT_THRESHOLDS, False), (threshold_range(0.05, 0.95, 0.05), True)):
+            report = score_dataset(gt, detections, ts, inclusive=inclusive)
+            assert 0.0 < report.dataset_map < 1.0
+            assert report == score_dataset(gt, read_prediction_table(text), ts, inclusive=inclusive)
 
 
 class TestConfusionMetrics:

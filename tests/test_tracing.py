@@ -1,13 +1,15 @@
 """The benchmark's tracer wraps the names ``cxrdet.cli`` looks up. If a
-command stops calling one of them, its counters fall silent, so one small
-``score`` and one ``nms`` run traced in a fresh process must still count
-what they did."""
+command stops calling one of them, its counters fall silent, so small
+``score``, ``nms`` and ``preprocess`` runs traced in a fresh process must
+still count what they did."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import cxrdet
 
@@ -22,8 +24,7 @@ from run import load_api
 api = load_api()
 tracer = tracing.Tracer()
 tracing.install(tracer, api)
-codes = [api.cli_main(["score", "gt.csv", "preds.csv", "--out", "report.json"]),
-         api.cli_main(["nms", "preds.csv", "--out", "kept.csv"])]
+codes = [api.cli_main(command.split()) for command in sys.argv[4:]]
 print(json.dumps({"codes": codes, "counts": tracer.counts, "spans": sorted({s[0] for s in tracer.spans})}))
 """
 
@@ -44,17 +45,23 @@ p4,0.6 1 2 3 4
 """
 
 
-def test_tracer_counts_a_score_and_an_nms_run(tmp_path):
-    (tmp_path / "gt.csv").write_text(GT)
-    (tmp_path / "preds.csv").write_text(PREDS)
+def traced(work, *commands):
+    """Run ``cxrdet`` commands in ``work`` under the tracer, in a fresh
+    process; their exit codes, the tracer's counts and its span names."""
     src = os.path.dirname(os.path.dirname(cxrdet.__file__))
     done = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, src, str(ROOT / "bench"), str(ROOT / "tests")],
-        cwd=tmp_path, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        [sys.executable, "-c", TRACED_RUN, src, str(ROOT / "bench"), str(ROOT / "tests"), *commands],
+        cwd=work, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_tracer_counts_a_score_and_an_nms_run(tmp_path):
+    (tmp_path / "gt.csv").write_text(GT)
+    (tmp_path / "preds.csv").write_text(PREDS)
+    result = traced(tmp_path, "score gt.csv preds.csv --out report.json", "nms preds.csv --out kept.csv")
     assert result["codes"] == [0, 0]
     counts = result["counts"]
     assert counts["metrics.images_scored"] == 4
@@ -64,3 +71,14 @@ def test_tracer_counts_a_score_and_an_nms_run(tmp_path):
     assert {"cli.main", "formats.read_ground_truth", "metrics.score_dataset", "formats.write_report",
             "formats.read_predictions", "formats.group_predictions", "nms.nms",
             "formats.write_predictions"} <= set(result["spans"])
+
+
+def test_tracer_counts_a_preprocess_run(tmp_path):
+    film = np.arange(32 * 32, dtype=np.uint8).reshape(32, 32)
+    cxrdet.write_pgm(tmp_path / "film.pgm", film)
+    result = traced(tmp_path, "preprocess film.pgm --clahe --resize 16 --rotate 5 --out out.pgm")
+    assert result["codes"] == [0]
+    assert result["counts"]["preprocess.pixels"] > 0
+    assert {"preprocess.read_pgm", "preprocess.clahe", "preprocess.resize", "preprocess.augment",
+            "preprocess.write_pgm"} <= set(result["spans"])
+    assert (tmp_path / "out.pgm").exists()
