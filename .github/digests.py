@@ -1,4 +1,4 @@
-"""Print warm-up and CLI run digests for one ``src/`` tree, as one JSON object.
+"""Print warm-up, CLI run and demo digests for one ``src/`` tree, as one JSON object.
 
     python .github/digests.py SRC
 
@@ -16,8 +16,14 @@ prediction-only images are pinned at full scale and ``folds`` and
 ``classify`` read inputs of that size, and beside the broken copies
 ``write_broken`` makes of both, so reader errors are pinned too. Keys are
 ``cli/seed/command``; a value is the exit code and one digest of stdout,
-stderr and the ``--out`` file's bytes. Two trees whose objects are equal
-produce the same bytes on every benchmark input and CLI run::
+stderr and the ``--out`` file's bytes.
+
+Last, each script of ``demos/`` runs in a fresh process from ``SRC``, in
+a temporary directory that is also its TMPDIR, so the library paths the CLI
+never takes are pinned too. Keys are ``demo/name``; a value is the exit
+code and one digest of stdout and stderr, with the paths the demo made in
+that directory replaced. Two trees whose objects are equal produce the same
+bytes on every benchmark input, CLI run and demo::
 
     python .github/digests.py src > head.json
     python .github/digests.py "$BASE/src" > base.json
@@ -46,6 +52,9 @@ CLI_RUNS = (
     ("score-leaderboard", "score gt.csv preds-split.csv --out out.json"),
     ("score-leaderboard", "score gt-subset.csv preds.csv --out out.json"),
     ("score-leaderboard", "score gt-cr.csv preds-crlf.csv --out out.json"),
+    # nms groups repeated rows as score does: the split run's digest equals the first's
+    ("score-leaderboard", "nms preds.csv --mode soft-gaussian --out out.csv"),
+    ("score-leaderboard", "nms preds-split.csv --mode soft-gaussian --out out.csv"),
     # one image of 1 000 predictions and 3 boxes: 3 000 pairs, more than one overlap pass holds
     ("nms-raw", "score gt-shard.csv shard0.csv --out out.json"),
     *(("nms-raw", f"nms shard{s}.csv --mode {mode} --out out.csv")
@@ -160,6 +169,22 @@ def cli_digest(src: Path, work: Path, command: str) -> str:
     return f"exit {done.returncode} " + hashlib.sha1(repr((done.stdout, done.stderr, written)).encode()).hexdigest()
 
 
+def demo_digest(src: Path, demo: Path) -> str:
+    """Run ``demo`` from ``src`` under ``-W error::RuntimeWarning``, in a
+    fresh directory that is also its TMPDIR: its exit code and one digest of
+    stdout and stderr, in which the path of each file or directory the demo
+    made there reads ``<tmp>``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1", "TMPDIR": tmp}
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                              cwd=tmp, env=env, capture_output=True)
+        made = sorted(str(path).encode() for path in Path(tmp).iterdir())
+    stdout, stderr = done.stdout, done.stderr
+    for path in made:
+        stdout, stderr = stdout.replace(path, b"<tmp>"), stderr.replace(path, b"<tmp>")
+    return f"exit {done.returncode} " + hashlib.sha1(repr((stdout, stderr)).encode()).hexdigest()
+
+
 def digests(src: Path) -> dict:
     sys.dont_write_bytecode = True  # leave no caches in bench/, tests/ or src/
     sys.path[:0] = [str(src), str(ROOT / "bench"), str(ROOT / "tests")]
@@ -190,6 +215,8 @@ def digests(src: Path) -> dict:
         for seed in SEEDS:
             for name, command in CLI_RUNS:
                 found[f"cli/{seed}/{command}"] = cli_digest(src, Path(tmp) / f"{name}-{seed}", command)
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        found[f"demo/{demo.stem}"] = demo_digest(src, demo)
     return found
 
 

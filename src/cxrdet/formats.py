@@ -75,7 +75,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .geometry import Box, Detection, detection_rows
+from .geometry import Box, Detection
 
 __all__ = [
     "FormatError",
@@ -88,7 +88,6 @@ __all__ = [
     "write_ground_truth",
     "read_prediction_table",
     "read_predictions",
-    "detection_rows",
     "write_predictions",
     "group_ground_truth",
     "group_predictions",
@@ -337,16 +336,14 @@ class PredictionTable(Mapping):
     array of score, x_min, y_min, x_max, y_max rows in file order; CSV row
     k, for patient ``ids[k]``, holds ``values[bounds[k]:bounds[k + 1]]``.
 
-    As a read-only mapping it takes a patient id, in first-appearance order,
-    to that patient's rows, with repeated CSV rows concatenated in file order
-    as :func:`group_predictions` concatenates them.
+    As a read-only mapping it takes a patient id to that patient's rows,
+    grouped by :func:`_by_patient` as :func:`group_predictions` groups
+    detections.
     """
 
     def __init__(self, values: np.ndarray, ids: list, bounds: list[int]):
         self.values, self.ids, self.bounds = _read_only(values), ids, bounds
-        parts: dict = {}
-        for pid, start, stop in zip(ids, bounds, bounds[1:]):
-            parts.setdefault(pid, []).append(values[start:stop])
+        parts = _by_patient((pid, (values[start:stop],)) for pid, start, stop in zip(ids, bounds, bounds[1:]))
         self._rows = {pid: rows[0] if len(rows) == 1 else _read_only(np.concatenate(rows))
                       for pid, rows in parts.items()}
 
@@ -455,22 +452,24 @@ def read_labels(text: str) -> list[tuple[str, int, int]]:
     return list(_parse_rows(text, LABEL_COLUMNS, _labels_row))
 
 
-def group_ground_truth(records) -> dict[str, list[Box]]:
-    """Collect ground-truth boxes per patient; target-0 patients map to []."""
-    grouped: dict[str, list[Box]] = {}
-    for record in records:
-        boxes = grouped.setdefault(record.patient_id, [])
-        if record.box is not None:
-            boxes.append(record.box)
+def _by_patient(pairs) -> dict[str, list]:
+    """The items of (patient id, items) pairs as one list per patient: ids in
+    first-appearance order, a repeated id's items concatenated in file order."""
+    grouped: dict[str, list] = {}
+    for patient_id, items in pairs:
+        grouped.setdefault(patient_id, []).extend(items)
     return grouped
+
+
+def group_ground_truth(records) -> dict[str, list[Box]]:
+    """Ground-truth boxes per patient, grouped by :func:`_by_patient`; a
+    target-0 row adds no box, so a target-0 patient maps to []."""
+    return _by_patient((r.patient_id, () if r.box is None else (r.box,)) for r in records)
 
 
 def group_predictions(records) -> dict[str, list[Detection]]:
-    """Collect detections per patient, concatenating repeated rows."""
-    grouped: dict[str, list[Detection]] = {}
-    for record in records:
-        grouped.setdefault(record.patient_id, []).extend(record.detections)
-    return grouped
+    """Detections per patient, grouped by :func:`_by_patient`."""
+    return _by_patient((r.patient_id, r.detections) for r in records)
 
 
 def write_json_object(fields: dict[str, str]) -> str:

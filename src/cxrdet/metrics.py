@@ -24,7 +24,8 @@ Predictions are scored as table rows. ``score_dataset`` scores a
 rows per image are (n, 5) float64 arrays of score and corners; a mapping of
 Detections, the library form, becomes ``{id: detection_rows(dets)}``, rows
 per image, at its top, and ``match_boxes`` and ``average_precision`` take
-their Detections as one image's rows, so one core scores all three. Scores are compared as float64.
+their Detections as one image's rows, so one core scores all three. Scores
+are compared as float64.
 
 Overlaps are batched. Every (prediction, ground truth) pair of every image
 with both sides is one position of a flat stream, image after image, and
@@ -257,9 +258,9 @@ def score_dataset(
     ``gt_boxes`` maps image id -> ground-truth Boxes (empty for negative
     images); ``predictions`` is a ``PredictionTable``, which maps image id ->
     its (n, 5) table rows, or a mapping of image id -> Detections, whose
-    ``detection_rows`` are taken per image here, so one core scores both. Images are the union of both key
-    sets, evaluated in sorted-id order so the report is identical regardless
-    of input ordering.
+    ``detection_rows`` are taken per image here, so one core scores both.
+    Images are the union of both key sets, evaluated in sorted-id order so
+    the report is identical regardless of input ordering.
     """
     ts = validate_thresholds(thresholds)
     if not isinstance(predictions, PredictionTable):

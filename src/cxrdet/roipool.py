@@ -97,19 +97,17 @@ def _taps(cells: int, bins: int) -> tuple[np.ndarray, ...]:
     return _build_bin_taps(cells, bins)
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _bin_taps(cells: int, bins: int) -> tuple[np.ndarray, ...]:
-    taps = _build_bin_taps(cells, bins)
-    for t in taps:
-        t.flags.writeable = False  # shared by every later call
-    return taps
-
-
 def _build_bin_taps(cells: int, bins: int) -> tuple[np.ndarray, ...]:
-    """Every bin's d-th cell, for each d, as an intp array: bin k spans cells
-    [floor(k*cells/bins), ceil((k+1)*cells/bins)) and repeats its last cell
-    once it runs out; max is idempotent, so a repeat changes nothing."""
+    """Every bin's d-th cell, for each d, as a read-only intp array: bin k
+    spans cells [floor(k*cells/bins), ceil((k+1)*cells/bins)) and repeats its
+    last cell once it runs out; max is idempotent, so a repeat changes nothing."""
     k = np.arange(bins, dtype=np.intp)
     starts = k * cells // bins
     stops = -(-(k + 1) * cells // bins)
-    return tuple(np.minimum(starts + d, stops - 1) for d in range(int((stops - starts).max())))
+    taps = tuple(np.minimum(starts + d, stops - 1) for d in range(int((stops - starts).max())))
+    for t in taps:
+        t.flags.writeable = False  # a cached plan is shared by every later call
+    return taps
+
+
+_bin_taps = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(_build_bin_taps)

@@ -32,6 +32,7 @@ from cxrdet.geometry import detection_rows
 from oracles import array_read_prediction_table, regex_lines, token_by_token_read_predictions
 
 GT_HEADER = "patientId,x,y,width,height,Target"
+PATIENT_POOL = ("p0", "p1", "p2")  # few enough ids that drawn rows repeat them
 
 
 class TestGroundTruth:
@@ -55,6 +56,21 @@ class TestGroundTruth:
             "p1": [Box(0, 0, 10, 10), Box(20, 20, 25, 25)],
             "p2": [],
         }
+
+    @given(st.lists(st.tuples(st.sampled_from(PATIENT_POOL),
+                              st.none() | st.tuples(*[st.floats(0.0, 1e6)] * 4)), max_size=8))
+    def test_grouped_as_a_plain_loop_groups_them(self, rows):
+        """Target-0 and target-1 rows of repeated ids, interleaved: each id
+        once, in first-appearance order, with its boxes in file order."""
+        text = GT_HEADER + "\n" + "".join(
+            f"{pid},,,,,0\n" if xywh is None else f"{pid},{','.join(map(repr, xywh))},1\n" for pid, xywh in rows)
+        expected = {}
+        for pid, xywh in rows:
+            if pid not in expected:
+                expected[pid] = []
+            if xywh is not None:
+                expected[pid].append(Box.from_xywh(*xywh))
+        assert list(group_ground_truth(read_ground_truth(text)).items()) == list(expected.items())
 
     def test_crlf_and_lf_parse_identically(self):
         lf = f"{GT_HEADER}\np1,1,2,3,4,1\np2,,,,,0\n"
@@ -215,7 +231,7 @@ COORDINATES = GOOD_COORDINATES + ["-3", "nan", "-inf", "Infinity", "x", "1e", "0
 @st.composite
 def prediction_texts(draw):
     lines = ["patientId,PredictionString"]
-    for i in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, 4))):
         clean = draw(st.booleans())  # a row of passing tokens takes the one-pass path to its end
         confidences = st.sampled_from(GOOD_CONFIDENCES if clean else CONFIDENCES)
         coordinates = st.sampled_from(GOOD_COORDINATES if clean else COORDINATES)
@@ -225,7 +241,7 @@ def prediction_texts(draw):
             tokens.extend(draw(st.lists(coordinates, min_size=4, max_size=4)))
         if draw(st.integers(0, 9)) == 0:
             tokens = tokens[:-1]  # a dangling token
-        lines.append(f"p{i},{' '.join(tokens)}")
+        lines.append(f"{draw(st.sampled_from(PATIENT_POOL))},{' '.join(tokens)}")  # ids may repeat
     return "\n".join(lines) + "\n"
 
 
@@ -313,6 +329,7 @@ class TestPredictionTable:
     group_predictions groups Detections."""
 
     @given(prediction_texts())
+    @example("patientId,PredictionString\np1,0.9 0 0 10 10\np0,\np1,0.25 2.5 0 1 1 1 10 10 0 0\n")  # a repeated id
     def test_rows_equal_the_token_by_token_reader(self, text):
         expected = read_outcome(token_by_token_read_predictions, text)
         try:

@@ -30,8 +30,8 @@ from cxrdet import (
     total_loss,
     write_predictions,
 )
-from cxrdet.formats import detection_rows, read_prediction_table
-from cxrdet.geometry import iou
+from cxrdet.formats import read_prediction_table
+from cxrdet.geometry import detection_rows, iou
 from cxrdet.metrics import MAX_THRESHOLDS, _match, validate_thresholds
 from helpers import random_detections, random_int_box, random_positive_box
 from oracles import greedy_consistent_assignments, per_threshold_match
