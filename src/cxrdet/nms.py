@@ -1,12 +1,9 @@
 """Greedy non-maximum suppression, hard and soft.
 
-All variants share one walk over a float64 score vector in which -inf
-marks a detection that has left: repeatedly move the highest-scoring
-detection still in it to the output, then rescale the scores of its live
-same-class rivals by a decay factor that depends on their overlap with the
-box just kept, one IoU row at a time over corner columns and areas taken
-once per call (below ``_MATRIX_BELOW`` detections each row is read from one
-IoU matrix built per call, the same ``iou_columns`` arithmetic):
+All variants share one walk: repeatedly move the highest-scoring detection
+still in it to the output, then rescale the scores of its live same-class
+rivals by a decay factor that depends on their overlap with the box just
+kept:
 
     hard           s * [iou <= Nt]          (0/1 pruning)
     soft-linear    s * (1 - iou)   if iou > Nt, else unchanged
@@ -18,6 +15,18 @@ matter how small their input score, so fully disjoint inputs always pass
 through untouched. ``max_keep`` stops the walk after that many picks: each
 pick is final, so the result is exactly the first ``max_keep`` detections of
 the full output, and proposal selection walks only as far as it keeps.
+
+Each pick reads one IoU row: the kept box against every row. At and above
+``_MATRIX_BELOW`` detections the row is computed into float64 and bool
+buffers allocated once per call, in ``iou_columns``' operation order, so it
+equals that bit for bit, nan and inf included; below it the row is read from
+one IoU matrix built per call. Either source marks the rows it touches, those
+whose overlap is nonzero or nan, and the rivals are one ``nonzero`` of the
+touched rows that are alive (a mask cleared at a pick and when a decay drops
+a row) and, with class codes, share the kept row's class. The walk relies on
+one invariant: every rival whose overlap is nonzero or nan is touched, and a
+rival with zero overlap is never decayed, as no mode decays one (hard keeps
+iou <= Nt, linear needs iou > Nt, and exp(-0) is 1).
 
 The walk itself, ``nms_rows``, reads ``(n, 5)`` score-and-corner rows and
 returns ``(row index, final score)`` per pick; ``nms`` is its wrapper for
@@ -78,13 +87,33 @@ class NmsConfig:
             factor = 1.0 - overlap
             hit = (overlap > self.iou_threshold) & (factor < 1.0)  # 1 - iou is 1 for iou <= 2**-54
             return rivals[hit], factor[hit]
-        near = overlap != 0.0  # exp(-0.0) is 1: a disjoint rival never decays
-        rivals, overlap = rivals[near], overlap[near]
         values = (-(overlap * overlap) / self.sigma).tolist()
         # math.exp per element: np.exp differs from it in the last bit on some inputs
         factor = np.fromiter(map(math.exp, values), np.float64, len(values))
         hit = factor < 1.0  # an underflowing square gives 1 and a nan overlap nan: no decay
         return rivals[hit], factor[hit]
+
+
+def _iou_row(cols: np.ndarray, k: int, buffers: np.ndarray, touched: np.ndarray, flag: np.ndarray) -> np.ndarray:
+    """The IoU of column ``k`` of a :func:`box_columns` form against every
+    column, in ``iou_columns``' operation order, written into the last of the
+    five float rows ``buffers`` and returned. It equals ``iou_columns`` bit for
+    bit where ``touched`` is set, which is where that IoU is nonzero or nan;
+    elsewhere that IoU is 0. ``flag`` is a bool scratch row."""
+    ax0, ay0, ax1, ay1, a_area = cols[:, k].tolist()
+    bx0, by0, bx1, by1, b_area = cols
+    w, h, inter, union, overlap = buffers
+    np.minimum(ax1, bx1, out=w)
+    np.subtract(w, np.maximum(ax0, bx0, out=inter), out=w)
+    np.minimum(ay1, by1, out=h)
+    np.subtract(h, np.maximum(ay0, by0, out=inter), out=h)
+    np.greater(np.minimum(w, h, out=union), 0.0, out=flag)  # w > 0 and h > 0; a nan fails both
+    np.putmask(np.multiply(w, h, out=inter), np.logical_not(flag, out=flag), 0.0)
+    np.subtract(np.add(a_area, b_area, out=union), inter, out=union)
+    np.divide(inter, union, out=overlap)  # x/0 is left out of touched below
+    np.less_equal(union, 0.0, out=flag)
+    np.greater(np.not_equal(overlap, 0.0, out=touched), flag, out=touched)  # and not union <= 0
+    return overlap
 
 
 def nms_rows(rows: np.ndarray, config: NmsConfig | None = None, classes=None, *,
@@ -97,31 +126,43 @@ def nms_rows(rows: np.ndarray, config: NmsConfig | None = None, classes=None, *,
     cfg = config if config is not None else NmsConfig()
     if max_keep is not None and max_keep < 0:
         raise ValueError(f"max_keep must be non-negative: {max_keep!r}")
-    limit = len(rows) if max_keep is None else min(max_keep, len(rows))
+    n = len(rows)
+    limit = n if max_keep is None else min(max_keep, n)
     scores = rows[:, 0].copy()  # -inf once a row has left
+    alive = scores != -math.inf  # the same rows, cleared where a score turns -inf
+    touched, flag = np.empty((2, n), bool)
     cutoff = cfg.score_cutoff
     picks: list[tuple[int, float]] = []
     with np.errstate(all="ignore"):  # huge boxes overflow to inf and nan, as in iou
         cols = box_columns(rows[:, 1:])
-        matrix = iou_columns(cols[:, :, None], cols[:, None, :]) if len(rows) < _MATRIX_BELOW else None
+        if n < _MATRIX_BELOW:
+            matrix = iou_columns(cols[:, :, None], cols[:, None, :])
+            touches = matrix != 0.0
+        else:
+            matrix, buffers = None, np.empty((5, n))
         while len(picks) < limit:
             best = int(scores.argmax())  # first maximum: lowest row index
             score = scores.item(best)
             if score == -math.inf:
                 break
             scores[best] = -math.inf
+            alive[best] = False
             picks.append((best, score))
-            live = scores != -math.inf
-            if classes is not None:
-                live &= classes == classes[best]
-            rivals = live.nonzero()[0]
             if matrix is None:
-                overlap = iou_columns(cols[:, best].tolist(), cols.take(rivals, axis=1))
+                overlap = _iou_row(cols, best, buffers, touched, flag)
+                touched &= alive
             else:
-                overlap = matrix[best].take(rivals)
-            rivals, factor = cfg._decay(rivals, overlap)
+                overlap = matrix[best]
+                np.logical_and(touches[best], alive, out=touched)
+            if classes is not None:
+                touched &= np.equal(classes, classes[best], out=flag)
+            rivals = touched.nonzero()[0]
+            rivals, factor = cfg._decay(rivals, overlap[rivals])
             decayed = scores[rivals] * factor
-            scores[rivals] = np.where(decayed < cutoff, -math.inf, decayed)
+            gone = rivals[decayed < cutoff]
+            scores[rivals] = decayed
+            scores[gone] = -math.inf
+            alive[gone] = False
     return picks
 
 

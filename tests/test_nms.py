@@ -295,3 +295,104 @@ class TestRowSources:
             with patch.object(nms_module, "_MATRIX_BELOW", below):
                 outs.append([(id(d.box), d.score.hex(), d.class_id) for d in nms(dets, cfg)])
         assert outs[0] == outs[1]
+
+
+def _flat_row(rng):
+    """A zero-area box on the board: a point, or a segment along x or y."""
+    x0, y0 = rng.randint(0, 24), rng.randint(0, 24)
+    x1, y1 = rng.choice(((x0, y0), (x0, rng.randint(y0, 24)), (rng.randint(x0, 24), y0)))
+    return (x0, y0, x1, y1)
+
+
+def _board_row(rng):
+    x0, x1 = sorted((rng.randint(0, 24), rng.randint(0, 24)))
+    y0, y1 = sorted((rng.randint(0, 24), rng.randint(0, 24)))
+    return (x0, y0, x1, y1)
+
+
+def _huge_row(rng):
+    """A box whose side spans 2e300 along x, y or both, so its area and its
+    overlaps with other huge boxes overflow to inf and nan; it may be flat."""
+    x0, y0, x1, y1 = _board_row(rng)
+    along = rng.choice(("x", "y", "xy"))
+    if "x" in along:
+        x0, x1 = -1e300, 1e300
+    if "y" in along:
+        y0, y1 = -1e300, 1e300
+    return (x0, y0, x1, y1)
+
+
+def _inverted_row(rng):
+    """A row with a negative extent along x or y (no Box takes it): its area
+    is negative or zero, so its union with a box of the opposite area is 0."""
+    x0, y0, x1, y1 = _board_row(rng)
+    return rng.choice(((x1 + 1, y0, x0, y1), (x0, y1 + 1, x1, y0)))
+
+
+@st.composite
+def buffered_row_inputs(draw, inverted=False):
+    """_MATRIX_BELOW to _MATRIX_BELOW + 8 corner rows, so the walk computes
+    its own row per pick, with scores in tenths and class codes 0 to 2. The
+    small board mixes in 1e300 boxes, zero-area boxes (any two have a union
+    of 0, and their overlap is 0/0 before the union test), duplicates of
+    earlier rows and, with ``inverted``, rows with a negative extent."""
+    n = draw(st.integers(_MATRIX_BELOW, _MATRIX_BELOW + 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    makers = [_board_row] * 5 + [_flat_row, _flat_row, _huge_row] + ([_inverted_row] if inverted else [])
+    boxes = []
+    for _ in range(n):
+        if boxes and rng.random() < 0.1:
+            boxes.append(rng.choice(boxes))
+        else:
+            boxes.append(tuple(float(v) for v in rng.choice(makers)(rng)))
+    scores = [rng.randint(0, 10) / 10 for _ in range(n)]
+    classes = [rng.randint(0, 2) for _ in range(n)]
+    return boxes, scores, classes
+
+
+class TestBufferedRow:
+    """At and above _MATRIX_BELOW rows each pick computes its IoU row into
+    buffers and decays only the rivals it touches; the walk still equals the
+    scalar loop, overflowing, zero-area, duplicate and zero-union pairs included."""
+
+    @settings(max_examples=40)
+    @given(
+        buffered_row_inputs(inverted=True),
+        st.sampled_from((HARD, SOFT_LINEAR, SOFT_GAUSSIAN)),
+        st.sampled_from((0.0, 0.001, 0.3)),
+        st.booleans(),
+        st.sampled_from((None, 0, 1, 50, _MATRIX_BELOW + 8)),
+    )
+    def test_row_walk_equals_the_scalar_loop(self, drawn, mode, cutoff, with_classes, max_keep):
+        boxes, scores, classes = drawn
+        rows = np.array([(score, *box) for box, score in zip(boxes, scores)])
+        codes = np.array(classes, dtype=np.intp) if with_classes else None
+        picks = nms_rows(rows, NmsConfig(mode, 0.5, 0.5, cutoff), codes, max_keep=max_keep)
+        entries = [(box, score, cls if with_classes else None) for box, score, cls in zip(boxes, scores, classes)]
+        ref = scalar_nms(entries, mode, 0.5, 0.5, cutoff)[:max_keep]
+        assert [(type(i), i, score.hex()) for i, score in picks] == [(int, i, score.hex()) for i, score in ref]
+
+    @settings(max_examples=40)
+    @given(
+        buffered_row_inputs(),
+        st.sampled_from((HARD, SOFT_LINEAR, SOFT_GAUSSIAN)),
+        st.sampled_from((0.0, 0.001, 0.3)),
+        st.sampled_from((None, 0, 1, 50)),
+    )
+    def test_detection_walk_equals_the_scalar_loop(self, drawn, mode, cutoff, max_keep):
+        boxes, scores, classes = drawn
+        dets = [Detection(Box(*box), score, (None, 0, 1)[cls]) for box, score, cls in zip(boxes, scores, classes)]
+        out = nms(dets, NmsConfig(mode, 0.5, 0.5, cutoff), max_keep=max_keep)
+        ref = scalar_nms(triples(dets), mode, 0.5, 0.5, cutoff)[:max_keep]
+        assert [(id(d.box), d.score.hex(), d.class_id) for d in out] == [
+            (id(dets[i].box), score.hex(), dets[i].class_id) for i, score in ref
+        ]
+
+    @pytest.mark.parametrize("mode", [HARD, SOFT_LINEAR, SOFT_GAUSSIAN])
+    def test_overflowing_boxes_warn_nothing(self, mode):
+        huge = 1e300
+        dets = [det(-huge, -huge, huge, huge, 0.9), det(-huge, 0, huge, huge, 0.8), det(0, 0, 1, 1, 0.7)]
+        dets += random_detections(random.Random(5), _MATRIX_BELOW + 1 - len(dets))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(nms(dets, NmsConfig(mode=mode))) >= 1
