@@ -152,21 +152,35 @@ def box_columns(boxes: np.ndarray) -> np.ndarray:
     return cols
 
 
-def iou_columns(a, b) -> np.ndarray:
+def iou_columns(a, b, out=None) -> np.ndarray:
     """IoU between two broadcastable :func:`box_columns` forms (any sequences of
     five columns or scalars), in :func:`iou`'s operation order, so it equals
-    ``iou`` bit for bit.
+    ``iou`` bit for bit: 0 where the union is not positive.
+
+    ``out`` is scratch space: five float64 arrays (or the rows of a ``(5, ...)``
+    array) of the broadcast shape. The overlap is written into the last and
+    returned, and the other four are overwritten; what they held before
+    changes no result. Without ``out`` the five are allocated per call, so
+    the result owns its memory.
 
     Huge boxes overflow to inf and nan exactly as in ``iou``; silencing numpy's
     warnings about it is left to the caller, which may wrap many calls at once.
     """
     ax0, ay0, ax1, ay1, a_area = a
     bx0, by0, bx1, by1, b_area = b
-    w = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
-    h = np.minimum(ay1, by1) - np.maximum(ay0, by0)
-    inter = np.where(np.minimum(w, h) > 0.0, w * h, 0.0)  # w > 0 and h > 0; a nan fails both
-    union = a_area + b_area - inter
-    return np.where(union <= 0.0, 0.0, inter / union)  # x/0 is discarded
+    if out is None:
+        shape = np.broadcast(ax0, bx0).shape
+        out = [np.empty(shape) for _ in range(5)]
+    w, h, inter, union, overlap = out
+    np.minimum(ax1, bx1, out=w)
+    np.subtract(w, np.maximum(ax0, bx0, out=inter), out=w)
+    np.minimum(ay1, by1, out=h)
+    np.subtract(h, np.maximum(ay0, by0, out=inter), out=h)
+    mask = np.minimum(w, h, out=union) > 0.0  # w > 0 and h > 0; a nan fails both
+    np.putmask(np.multiply(w, h, out=inter), np.logical_not(mask, out=mask), 0.0)
+    np.subtract(np.add(a_area, b_area, out=union), inter, out=union)
+    np.putmask(np.divide(inter, union, out=overlap), np.less_equal(union, 0.0, out=mask), 0.0)  # x/0 is discarded
+    return overlap
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

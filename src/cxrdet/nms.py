@@ -16,17 +16,17 @@ through untouched. ``max_keep`` stops the walk after that many picks: each
 pick is final, so the result is exactly the first ``max_keep`` detections of
 the full output, and proposal selection walks only as far as it keeps.
 
-Each pick reads one IoU row: the kept box against every row. At and above
-``_MATRIX_BELOW`` detections the row is computed into float64 and bool
-buffers allocated once per call, in ``iou_columns``' operation order, so it
-equals that bit for bit, nan and inf included; below it the row is read from
-one IoU matrix built per call. Either source marks the rows it touches, those
-whose overlap is nonzero or nan, and the rivals are one ``nonzero`` of the
-touched rows that are alive (a mask cleared at a pick and when a decay drops
-a row) and, with class codes, share the kept row's class. The walk relies on
-one invariant: every rival whose overlap is nonzero or nan is touched, and a
-rival with zero overlap is never decayed, as no mode decays one (hard keeps
-iou <= Nt, linear needs iou > Nt, and exp(-0) is 1).
+Each pick reads one IoU row, the kept box against every row, from
+``iou_columns``, the one array IoU formula. Below ``_MATRIX_BELOW``
+detections the row is read from one IoU matrix built per call; at and above
+it each pick computes its own row into five float rows allocated once per
+call. Both give the same overlaps bit for bit, nan and inf included, and 0
+where the union is not positive, so one rule finds the rivals: one
+``nonzero`` of the rows whose overlap is nonzero (nan included), that are
+alive (a mask cleared at a pick and when a decay drops a row) and, with class
+codes, that share the kept row's class. Leaving out the rows of zero overlap
+loses nothing, as no mode decays one (hard keeps iou <= Nt, linear needs
+iou > Nt, and exp(-0) is 1).
 
 The walk itself, ``nms_rows``, reads ``(n, 5)`` score-and-corner rows and
 returns ``(row index, final score)`` per pick; ``nms`` is its wrapper for
@@ -50,8 +50,9 @@ SOFT_GAUSSIAN = "soft-gaussian"
 _MODES = (HARD, SOFT_LINEAR, SOFT_GAUSSIAN)
 
 # below this many detections every IoU row is read from one matrix built per
-# call, which costs fewer numpy calls per pick; at and above it each pick
-# computes its own row, so the work stays linear in memory
+# call, as per-pick rows cost more numpy calls: they ran about x2 slower at 20
+# to 80 rows in every mode, and at parity from 180 rows (2-vCPU Xeon, numpy
+# 2.4). At and above it each pick computes its own row, so memory stays linear
 _MATRIX_BELOW = 128
 
 
@@ -94,28 +95,6 @@ class NmsConfig:
         return rivals[hit], factor[hit]
 
 
-def _iou_row(cols: np.ndarray, k: int, buffers: np.ndarray, touched: np.ndarray, flag: np.ndarray) -> np.ndarray:
-    """The IoU of column ``k`` of a :func:`box_columns` form against every
-    column, in ``iou_columns``' operation order, written into the last of the
-    five float rows ``buffers`` and returned. It equals ``iou_columns`` bit for
-    bit where ``touched`` is set, which is where that IoU is nonzero or nan;
-    elsewhere that IoU is 0. ``flag`` is a bool scratch row."""
-    ax0, ay0, ax1, ay1, a_area = cols[:, k].tolist()
-    bx0, by0, bx1, by1, b_area = cols
-    w, h, inter, union, overlap = buffers
-    np.minimum(ax1, bx1, out=w)
-    np.subtract(w, np.maximum(ax0, bx0, out=inter), out=w)
-    np.minimum(ay1, by1, out=h)
-    np.subtract(h, np.maximum(ay0, by0, out=inter), out=h)
-    np.greater(np.minimum(w, h, out=union), 0.0, out=flag)  # w > 0 and h > 0; a nan fails both
-    np.putmask(np.multiply(w, h, out=inter), np.logical_not(flag, out=flag), 0.0)
-    np.subtract(np.add(a_area, b_area, out=union), inter, out=union)
-    np.divide(inter, union, out=overlap)  # x/0 is left out of touched below
-    np.less_equal(union, 0.0, out=flag)
-    np.greater(np.not_equal(overlap, 0.0, out=touched), flag, out=touched)  # and not union <= 0
-    return overlap
-
-
 def nms_rows(rows: np.ndarray, config: NmsConfig | None = None, classes=None, *,
              max_keep: int | None = None) -> list[tuple[int, float]]:
     """The greedy walk over an (n, 5) float64 array of score, x_min, y_min,
@@ -137,7 +116,6 @@ def nms_rows(rows: np.ndarray, config: NmsConfig | None = None, classes=None, *,
         cols = box_columns(rows[:, 1:])
         if n < _MATRIX_BELOW:
             matrix = iou_columns(cols[:, :, None], cols[:, None, :])
-            touches = matrix != 0.0
         else:
             matrix, buffers = None, np.empty((5, n))
         while len(picks) < limit:
@@ -148,12 +126,8 @@ def nms_rows(rows: np.ndarray, config: NmsConfig | None = None, classes=None, *,
             scores[best] = -math.inf
             alive[best] = False
             picks.append((best, score))
-            if matrix is None:
-                overlap = _iou_row(cols, best, buffers, touched, flag)
-                touched &= alive
-            else:
-                overlap = matrix[best]
-                np.logical_and(touches[best], alive, out=touched)
+            overlap = iou_columns(cols[:, best].tolist(), cols, buffers) if matrix is None else matrix[best]
+            np.logical_and(overlap, alive, out=touched)  # overlap nonzero (nan included) and alive
             if classes is not None:
                 touched &= np.equal(classes, classes[best], out=flag)
             rivals = touched.nonzero()[0]

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import cxrdet.geometry
 from cxrdet import Box, area, intersection_area, iou
-from cxrdet.geometry import clip_corners, corners, iou_matrix
+from cxrdet.geometry import box_columns, clip_corners, corners, iou_columns, iou_matrix
 from oracles import raster_iou, tuple_corners
 
 coord = st.integers(min_value=0, max_value=64)
@@ -212,6 +213,70 @@ class TestIouMatrix:
         assert got[0, 3] == 0.25  # nested
         assert math.isnan(got[4, 4]) and math.isnan(iou(big, big))  # inf - inf, as in the scalar form
         assert corners([]).shape == (0, 4)
+
+
+def _unchecked_box(x0, y0, x1, y1):
+    """A Box built without the constructor's checks, so its extents may be negative."""
+    box = object.__new__(Box)
+    for name, v in zip(("x_min", "y_min", "x_max", "y_max"), (x0, y0, x1, y1)):
+        object.__setattr__(box, name, v)
+    return box
+
+
+# ends of 1e300 make areas overflow to inf and overlaps to nan; repeated ends make zero-area rows
+edge = st.sampled_from((-1e300, 0.0, 0.5, 1.0, 3.0, 1e300))
+
+
+@st.composite
+def board_rows(draw):
+    """(N, 4) corner rows on a small board. About one row in four keeps its
+    ends in drawn order, so it may be inverted: a negative extent gives it a
+    negative area, and its union with a box of the opposite area is 0."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        x0, x1, y0, y1 = (draw(edge) for _ in range(4))
+        if draw(st.integers(0, 3)):
+            (x0, x1), (y0, y1) = sorted((x0, x1)), sorted((y0, y1))
+        rows.append((x0, y0, x1, y1))
+    return np.array(rows)
+
+
+def _hexes(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
+class TestIouColumns:
+    """iou_columns in the three broadcast forms its callers use: one box's
+    five scalars against columns (an NMS pick's row), column against column
+    (the scorer's pair pass) and (5, N, 1) against (5, 1, M) (iou_matrix)."""
+
+    @given(board_rows(), board_rows(), st.booleans())
+    def test_bit_identical_to_scalar_iou(self, a, b, with_out):
+        ca, cb = box_columns(a), box_columns(b)
+        boxes_a, boxes_b = [_unchecked_box(*r) for r in a.tolist()], [_unchecked_box(*r) for r in b.tolist()]
+        pa, pb = np.repeat(np.arange(len(a)), len(b)), np.tile(np.arange(len(b)), len(a))
+        forms = [(ca[:, 0].tolist(), cb, [iou(boxes_a[0], q) for q in boxes_b]),
+                 (ca[:, pa], cb[:, pb], [iou(boxes_a[i], boxes_b[j]) for i, j in zip(pa, pb)]),
+                 (ca[:, :, None], cb[:, None, :], [[iou(p, q) for q in boxes_b] for p in boxes_a])]
+        for left, right, want in forms:
+            out = np.full((5, *np.shape(want)), np.nan) if with_out else None  # stale values change nothing
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(all="ignore"):
+                    got = iou_columns(left, right, out)
+            assert got.shape == np.shape(want)
+            assert _hexes(got) == _hexes(want)
+            if with_out:
+                assert np.shares_memory(got, out[4])
+
+    def test_results_own_their_memory(self):
+        a = corners([Box(0, 0, 2, 2), Box(1, 1, 3, 3), Box(0, 0, 0, 5)])
+        ca = box_columns(a)
+        with np.errstate(invalid="ignore"):  # the zero-area box against itself is 0/0
+            results = (iou_columns(ca[:, 0].tolist(), ca), iou_columns(ca, ca),
+                       iou_columns(ca[:, :, None], ca[:, None, :]), iou_matrix(a, a))
+        for got in results:
+            assert got.base is None  # not a view that keeps the four scratch arrays alive
 
 
 # coordinate types a caller may hand Box: numpy scalars widen exactly to float64

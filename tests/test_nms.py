@@ -268,8 +268,10 @@ def detections_near_the_switch(draw):
 
 
 class TestRowSources:
-    """Below _MATRIX_BELOW detections each IoU row is read from one matrix per
-    call, at and above it computed per pick; either way the walk is the same."""
+    """Below _MATRIX_BELOW detections each IoU row is read from one
+    iou_columns matrix per call, at and above it computed per pick by
+    iou_columns into buffers; the overlaps and the rival rule are the same,
+    so the walk is too."""
 
     @settings(max_examples=30)
     @given(
@@ -351,9 +353,10 @@ def buffered_row_inputs(draw, inverted=False):
 
 
 class TestBufferedRow:
-    """At and above _MATRIX_BELOW rows each pick computes its IoU row into
-    buffers and decays only the rivals it touches; the walk still equals the
-    scalar loop, overflowing, zero-area, duplicate and zero-union pairs included."""
+    """At and above _MATRIX_BELOW rows each pick computes its IoU row with
+    iou_columns into buffers allocated once per call, and the rivals are the
+    alive rows of nonzero (or nan) overlap; the walk equals the scalar loop,
+    overflowing, zero-area, duplicate and zero-union pairs included."""
 
     @settings(max_examples=40)
     @given(
