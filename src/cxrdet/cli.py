@@ -20,7 +20,6 @@ anchors, each checked before anything is allocated.
 """
 
 import argparse
-import json
 import math
 import random
 import sys
@@ -38,8 +37,8 @@ from .formats import (
     read_labels,
     read_prediction_table,
     read_predictions,
+    write_classification,
     write_csv,
-    write_json_object,
     write_predictions,
     write_report,
 )
@@ -187,14 +186,7 @@ def _cmd_classify(args) -> int:
     m = confusion_metrics(
         ConfusionCounts(tp=pairs[1, 1], fp=pairs[0, 1], tn=pairs[0, 0], fn=pairs[1, 0])
     )
-    _write_text(args.out, write_json_object({
-        "accuracy": f"{m.accuracy:.6f}",
-        "specificity": f"{m.specificity:.6f}",
-        "precision": f"{m.precision:.6f}",
-        "recall": f"{m.recall:.6f}",
-        "f1": f"{m.f1:.6f}",
-        "undefined": json.dumps(list(m.undefined)),
-    }))
+    _write_text(args.out, write_classification(m))
     return 0
 
 

@@ -34,9 +34,14 @@ text is read again and each row walked token by token in row order
 (``_checked_tokens``, whose boxes go through the ground-truth reader's
 ordered check, ``_checked_box``), so the error names the first bad token,
 confidence or box and its line. ``read_predictions`` wraps the table reader
-and builds the public ``PredRecord``s from the table's rows. Unknown or
+and builds the public ``PredRecord``s, each from its own slice of the
+table's rows, so the rows never all become Python floats at once. Unknown or
 missing columns are an error, LF and CRLF both parse, and floats are
-written with ``repr`` so read(write(x)) round-trips bit-exactly.
+written with ``repr`` so read(write(x)) round-trips bit-exactly. One
+grouping rule, ``_by_patient``, gathers a patient's rows for the table's
+id-to-rows mapping and for ``group_ground_truth`` and
+``group_predictions``: ids in first-appearance order, a repeated id's rows
+concatenated in file order (a target-0 ground-truth row adds no box).
 
 All three CSVs are read by one row loop: it checks the header and the field
 count, strips the patient id and refuses an empty one, and turns any row
@@ -54,15 +59,18 @@ the longest line always sits inside one chunk. Every CSV the package
 writes, these and the ``folds`` and ``anchors`` tables, goes through
 ``write_csv``.
 
-Score reports are JSON with a fixed key order and reals rendered to six
-decimal places; images excluded from the mean (no boxes and no predictions)
-appear with a ``null`` score. ``read_report`` holds one exact-keys rule for
-the report, its counts and its per-image entries, and refuses a repeated
-key in any object; a ``ScoreReport`` refuses counts whose ``tp + fp`` or
-``tp + fn`` differ between thresholds, and a per-image id that repeats,
-which no dataset produces.
-``write_json_object`` lays out every JSON object the package writes, one
-field per line.
+Every JSON object the package writes has one layout, ``write_json_object``
+(one field per line), and one rendering of reals, six decimal places
+(``_f6``): ``write_report`` renders a score report through both, and
+``write_classification`` the confusion metrics ``cxrdet classify`` prints.
+Images excluded from the mean (no boxes and no predictions) appear in a
+report with a ``null`` score. The dataset mean has one home,
+``mean_average_precision``: ``metrics`` scores with it, and a
+``ScoreReport`` checks its ``dataset_map`` against it. ``read_report``
+holds one exact-keys rule for the report, its counts and its per-image
+entries, and refuses a repeated key in any object; a ``ScoreReport``
+refuses counts whose ``tp + fp`` or ``tp + fn`` differ between thresholds,
+and a per-image id that repeats, which no dataset produces.
 """
 
 import csv
@@ -84,6 +92,7 @@ __all__ = [
     "PredictionTable",
     "ThresholdCounts",
     "ScoreReport",
+    "mean_average_precision",
     "read_ground_truth",
     "write_ground_truth",
     "read_prediction_table",
@@ -92,6 +101,7 @@ __all__ = [
     "group_ground_truth",
     "group_predictions",
     "write_report",
+    "write_classification",
     "read_report",
     "read_labels",
     "decode_text",
@@ -162,6 +172,12 @@ class ThresholdCounts:
             raise ValueError("counts must be non-negative")
 
 
+def mean_average_precision(per_image) -> float:
+    """Mean of the per-image scores that are present; 0.0 if none are."""
+    present = [s for s in per_image if s is not None]
+    return sum(present) / len(present) if present else 0.0
+
+
 @dataclass(frozen=True)
 class ScoreReport:
     """Dataset score plus its per-image and per-threshold breakdown.
@@ -196,8 +212,7 @@ class ScoreReport:
             seen.add(pid)
             if score is not None and not 0.0 <= score <= 1.0:
                 raise ValueError(f"per-image score out of range for {pid!r}: {score!r}")
-        present = [s for _, s in self.per_image if s is not None]
-        expected = sum(present) / len(present) if present else 0.0
+        expected = mean_average_precision(s for _, s in self.per_image)
         # 2e-6 absorbs the six-decimal wire rounding of reread reports
         if not abs(self.dataset_map - expected) <= 2e-6:  # stated so that nan fails
             raise ValueError(
@@ -423,9 +438,9 @@ def read_predictions(text: str) -> list[PredRecord]:
     """Parse a predictions CSV into one PredRecord per row, from the rows of
     :func:`read_prediction_table`; raises FormatError naming the bad line."""
     table = read_prediction_table(text)
-    rows = table.values.tolist()
+    rows = table.values  # each record's slice becomes Python floats on its own, never the whole table at once
     return [
-        PredRecord(pid, [Detection(Box(x0, y0, x1, y1), score) for score, x0, y0, x1, y1 in rows[start:stop]])
+        PredRecord(pid, [Detection(Box(x0, y0, x1, y1), score) for score, x0, y0, x1, y1 in rows[start:stop].tolist()])
         for pid, start, stop in zip(table.ids, table.bounds, table.bounds[1:])
     ]
 
@@ -501,6 +516,12 @@ def write_report(report: ScoreReport) -> str:
         "per_image": f"[{per_image}]",
         "undefined": json.dumps(list(report.undefined)),
     })
+
+
+def write_classification(metrics) -> str:
+    """Render ClassificationMetrics as JSON with stable keys and 6-decimal reals."""
+    fields = {name: _f6(getattr(metrics, name)) for name in ("accuracy", "specificity", "precision", "recall", "f1")}
+    return write_json_object({**fields, "undefined": json.dumps(list(metrics.undefined))})
 
 
 def _read_as(kind, value):

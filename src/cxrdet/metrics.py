@@ -4,43 +4,54 @@ The dataset score is the competition-style mean average precision: per
 image, predictions are matched greedily to ground truth in descending
 confidence order, a per-threshold precision tp / (tp + fp + fn) is computed
 over a set of IoU thresholds, the per-image score is the mean over
-thresholds, and the dataset score is the mean over images. Per-image work
-yields true positives alone: an image with n predictions and m boxes has
-fp = n - tp and fn = m - tp, so its precision is tp / (n + m - tp), and the
-dataset's counts are FP = N - TP and FN = M - TP, N and M the sizes of all
-scored images. The one empty-image rule is ``_score_image``'s: an image
-with an empty side is never matched; with neither ground truth nor
-predictions it is excluded from the final mean, and with only one side it
-scores zero. An overlap passes a threshold t when it reaches the
-threshold's floor, t itself with ``inclusive`` and else the next float64
-above t, so ``> t`` and ``>= t`` are one test. A walk picks each
-prediction's best unmatched box without looking at the threshold, so the
-walk made at one threshold stands at every later (larger) one while its
-least matched overlap still passes; the image is walked again only at a
-threshold where that overlap fails.
+thresholds, and the dataset score is the mean over images. Each rule of that
+score has one home:
+
+- The overlaps: ``_overlaps`` is the one pair stream. It yields every image
+  as ``(preds, gt, overlaps)``, and it is the only source of overlaps:
+  ``score_dataset`` streams all its images through it, and ``match_boxes``
+  and ``average_precision`` read their one image off it, so all three score
+  the same numbers.
+- The match: ``_match`` takes one such image and matches it at every
+  threshold. An overlap passes a threshold t when it reaches the
+  threshold's floor, t itself with ``inclusive`` and else the next float64
+  above t, so ``> t`` and ``>= t`` are one test. A walk (``_walk``) picks
+  each prediction's best unmatched box without looking at the threshold, so
+  the walk made at one threshold stands at every later (larger) one while
+  its least matched overlap still passes; the image is walked again only at
+  a threshold where that overlap fails.
+- The per-image score: ``_score_image`` takes the same image and holds the
+  one empty-image rule. An image with an empty side is never matched; with
+  neither ground truth nor predictions it is excluded from the dataset mean,
+  and with only one side it scores zero. Per-image work yields true
+  positives alone: an image with n predictions and m boxes has fp = n - tp
+  and fn = m - tp, so its precision is tp / (n + m - tp), and the dataset's
+  counts are FP = N - TP and FN = M - TP, N and M the sizes of all scored
+  images.
+- The dataset mean: ``mean_average_precision`` lives in ``formats``, beside
+  the ``ScoreReport`` that checks its ``dataset_map`` against it, and is
+  re-exported here.
 
 Predictions are scored as table rows. ``score_dataset`` scores a
 ``PredictionTable``, the form ``formats.read_prediction_table`` reads, whose
 rows per image are (n, 5) float64 arrays of score and corners; a mapping of
 Detections, the library form, becomes ``{id: detection_rows(dets)}``, rows
 per image, at its top, and ``match_boxes`` and ``average_precision`` take
-their Detections as one image's rows, so one core scores all three. Scores
-are compared as float64.
+their Detections as one image's rows. Scores are compared as float64.
 
-Overlaps are batched. Every (prediction, ground truth) pair of every image
-with both sides is one position of a flat stream, image after image, and
-``score_dataset`` takes the stream in passes of a fixed budget of pairs,
-one ``iou_columns`` pass each, gathered from corner columns taken once per
+The stream is batched. Every (prediction, ground truth) pair of every image
+with both sides is one position of a flat stream, image after image, taken
+in passes of a fixed budget of pairs (``_PAIR_BUDGET``), one
+``iou_columns`` pass each, gathered from corner columns taken once per
 call; an image reads its overlaps off the stream as one flat list, so it
 may span passes. Memory grows with the predictions and boxes of those
 images (their columns and index arrays, about a hundred bytes each), not
 with their pairs, besides one pass's temporaries and the current image's
-list of overlaps. ``match_boxes`` and ``average_precision`` are one-image
-streams of the same path. Overlaps come from float64 corners, as in
-``nms`` and ``label_anchors``, so they equal ``iou`` bit for bit on float
-coordinates. On Python int coordinates ``iou`` computes exactly, so the two
-can differ in the last bit once a coordinate or an area passes 2**53, and a
-coordinate too large for any float raises OverflowError here.
+list of overlaps. Overlaps come from float64 corners, as in ``nms`` and
+``label_anchors``, so they equal ``iou`` bit for bit on float coordinates.
+On Python int coordinates ``iou`` computes exactly, so the two can differ
+in the last bit once a coordinate or an area passes 2**53, and a coordinate
+too large for any float raises OverflowError here.
 
 Also here: binary-classification confusion metrics, seeded k-fold
 splitting, and pointwise loss evaluation (smooth L1, binary cross-entropy,
@@ -48,13 +59,14 @@ and their weighted combination).
 """
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
 
-from .formats import PredictionTable, ScoreReport, ThresholdCounts, validate_thresholds
+from .formats import PredictionTable, ScoreReport, ThresholdCounts, mean_average_precision, validate_thresholds
 from .geometry import box_columns, corners, detection_rows, iou, iou_columns  # noqa: F401  (bench/tracing.py wraps iou here)
 
 __all__ = [
@@ -151,22 +163,20 @@ def _overlaps(images):
         yield preds, gt, list(islice(flat, len(preds) * len(gt)))
 
 
-def _match(preds, gt, ts, inclusive, overlaps=None) -> list[MatchResult]:
+def _match(preds, gt, overlaps, ts, inclusive) -> list[MatchResult]:
     """Greedy matching at every threshold in ``ts``, one MatchResult each.
 
-    ``preds`` are the image's (n, 5) table rows, sorted once by score, and
-    ``overlaps``, the image's rows from :func:`_overlaps` (computed here when
-    not given), are read as slices. The image is walked at the first
-    threshold, and each later threshold keeps the last walk while its least
-    matched overlap reaches that threshold's floor, else walks again: the
-    thresholds increase, and a walk's choices depend on a threshold only
-    through whether its matches pass. An empty side matches nothing, so every
-    result is ``MatchResult(0, n, m, ())``; the score path never gets here
-    with one, as ``_score_image`` holds its empty-image rule.
+    ``(preds, gt, overlaps)`` is one image as :func:`_overlaps` yields it:
+    ``preds`` are its (n, 5) table rows, sorted once by score, and its
+    overlaps are read as slices. The image is walked at the first threshold,
+    and each later threshold keeps the last walk while its least matched
+    overlap reaches that threshold's floor, else walks again: the thresholds
+    increase, and a walk's choices depend on a threshold only through whether
+    its matches pass. An empty side matches nothing, so every result is
+    ``MatchResult(0, n, m, ())``; the score path never gets here with one, as
+    ``_score_image`` holds its empty-image rule.
     """
     n, m = len(preds), len(gt)
-    if overlaps is None:
-        overlaps = next(_overlaps([(preds, gt)]))[2]
     neg_scores = (-preds[:, 0]).tolist()
     order = sorted(range(n), key=neg_scores.__getitem__)  # stable: ties keep input order
     rows = [(pi, overlaps[pi * m : (pi + 1) * m]) for pi in order]
@@ -212,18 +222,19 @@ def match_boxes(preds, gt, t: float, *, inclusive: bool = False) -> MatchResult:
     box can be matched at most once, so duplicate predictions of the same
     box count as false positives.
     """
-    return _match(detection_rows(preds), list(gt), validate_thresholds((t,)), inclusive)[0]
+    return _match(*next(_overlaps([(detection_rows(preds), list(gt))])), validate_thresholds((t,)), inclusive)[0]
 
 
-def _score_image(preds, gt, ts, inclusive, overlaps=None):
-    """One image's (score, tp per threshold); its fp and fn are its sizes
-    less tp. This is the score path's one empty-image rule: an image with no
-    predictions or no ground truth is not matched, its tp are (), and it
-    scores None when both sides are empty, else 0.0."""
+def _score_image(preds, gt, overlaps, ts, inclusive):
+    """One image's (score, tp per threshold), the image as :func:`_overlaps`
+    yields it; its fp and fn are its sizes less tp. This is the score path's
+    one empty-image rule: an image with no predictions or no ground truth is
+    not matched, its tp are (), and it scores None when both sides are
+    empty, else 0.0."""
     n, m = len(preds), len(gt)
     if not n or not m:
         return (None if n == m else 0.0), ()
-    tps = [r.tp for r in _match(preds, gt, ts, inclusive, overlaps)]
+    tps = [r.tp for r in _match(preds, gt, overlaps, ts, inclusive)]
     return sum(tp / (n + m - tp) for tp in tps) / len(ts), tps
 
 
@@ -235,15 +246,7 @@ def average_precision(preds, gt, thresholds=DEFAULT_THRESHOLDS, *, inclusive: bo
     predictions but nothing to find.
     """
     ts = validate_thresholds(thresholds)
-    return _score_image(detection_rows(preds), list(gt), ts, inclusive)[0]
-
-
-def mean_average_precision(per_image) -> float:
-    """Mean of the per-image scores that are present; 0.0 if none are."""
-    present = [s for s in per_image if s is not None]
-    if not present:
-        return 0.0
-    return sum(present) / len(present)
+    return _score_image(*next(_overlaps([(detection_rows(preds), list(gt))])), ts, inclusive)[0]
 
 
 def score_dataset(
@@ -267,7 +270,7 @@ def score_dataset(
         predictions = {i: detection_rows(dets) for i, dets in predictions.items()}
     ids = sorted(set(gt_boxes) | set(predictions))
     images = [(predictions.get(i, _NO_ROWS), list(gt_boxes.get(i, ()))) for i in ids]
-    results = [_score_image(preds, gt, ts, inclusive, overlaps) for preds, gt, overlaps in _overlaps(images)]
+    results = [_score_image(*image, ts, inclusive) for image in _overlaps(images)]
     scores = [score for score, _ in results]
     matched = [tps for _, tps in results if tps]  # tp per threshold of each image with both sides
     tp = [sum(column) for column in zip(*matched)] if matched else [0] * len(ts)
@@ -333,6 +336,8 @@ def kfold_split(ids, k: int, seed: int) -> dict:
     assignment. A repeated id is rejected by name.
     """
     ids = list(ids)
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"fold count must be an integer: {k!r}")
     if k < 2:
         raise ValueError(f"need at least 2 folds: {k!r}")
     if k > len(ids):

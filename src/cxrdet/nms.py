@@ -16,17 +16,20 @@ through untouched. ``max_keep`` stops the walk after that many picks: each
 pick is final, so the result is exactly the first ``max_keep`` detections of
 the full output, and proposal selection walks only as far as it keeps.
 
-Each pick reads one IoU row, the kept box against every row, from
-``iou_columns``, the one array IoU formula. Below ``_MATRIX_BELOW``
-detections the row is read from one IoU matrix built per call; at and above
-it each pick computes its own row into five float rows allocated once per
-call. Both give the same overlaps bit for bit, nan and inf included, and 0
-where the union is not positive, so one rule finds the rivals: one
-``nonzero`` of the rows whose overlap is nonzero (nan included), that are
-alive (a mask cleared at a pick and when a decay drops a row) and, with class
-codes, that share the kept row's class. Leaving out the rows of zero overlap
-loses nothing, as no mode decays one (hard keeps iou <= Nt, linear needs
-iou > Nt, and exp(-0) is 1).
+Each rule of the walk has one home. Each pick reads one IoU row, the kept
+box against every row, and the IoU arithmetic is ``geometry``'s: below
+``_MATRIX_BELOW`` detections the row is read from the one all-pairs matrix
+``iou_matrix`` builds per call, and at and above it each pick computes its
+own row with ``iou_columns``, the one array IoU formula, into five float
+rows allocated once per call over corner columns taken once per call. Both
+give the same overlaps bit for bit, nan and inf included, and 0 where the
+union is not positive, so one rule finds the rivals: one ``nonzero`` of the
+rows whose overlap is nonzero (nan included), that are alive (a mask
+cleared at a pick and when a decay drops a row) and, with class codes, that
+share the kept row's class. Leaving out the rows of zero overlap loses
+nothing, as no mode decays one (hard keeps iou <= Nt, linear needs iou >
+Nt, and exp(-0) is 1). ``NmsConfig._decay`` holds the one decay rule per
+mode.
 
 The walk itself, ``nms_rows``, reads ``(n, 5)`` score-and-corner rows and
 returns ``(row index, final score)`` per pick; ``nms`` is its wrapper for
@@ -39,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Detection, box_columns, detection_rows, iou, iou_columns  # noqa: F401  (bench/tracing.py wraps iou here)
+from .geometry import Detection, box_columns, detection_rows, iou_columns, iou_matrix
+from .geometry import iou  # noqa: F401  (bench/tracing.py wraps iou here)
 
 __all__ = ["Detection", "NmsConfig", "nms", "nms_rows", "HARD", "SOFT_LINEAR", "SOFT_GAUSSIAN"]
 
@@ -113,11 +117,10 @@ def nms_rows(rows: np.ndarray, config: NmsConfig | None = None, classes=None, *,
     cutoff = cfg.score_cutoff
     picks: list[tuple[int, float]] = []
     with np.errstate(all="ignore"):  # huge boxes overflow to inf and nan, as in iou
-        cols = box_columns(rows[:, 1:])
         if n < _MATRIX_BELOW:
-            matrix = iou_columns(cols[:, :, None], cols[:, None, :])
+            matrix = iou_matrix(rows[:, 1:], rows[:, 1:])
         else:
-            matrix, buffers = None, np.empty((5, n))
+            matrix, cols, buffers = None, box_columns(rows[:, 1:]), np.empty((5, n))
         while len(picks) < limit:
             best = int(scores.argmax())  # first maximum: lowest row index
             score = scores.item(best)

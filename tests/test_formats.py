@@ -27,8 +27,9 @@ from cxrdet import (
     write_report,
 )
 from cxrdet import formats
-from cxrdet.formats import PredictionTable, decode_text, read_ids, read_prediction_table
+from cxrdet.formats import PredictionTable, decode_text, read_ids, read_prediction_table, write_classification
 from cxrdet.geometry import detection_rows
+from cxrdet.metrics import ConfusionCounts, confusion_metrics
 from oracles import array_read_prediction_table, regex_lines, token_by_token_read_predictions
 
 GT_HEADER = "patientId,x,y,width,height,Target"
@@ -531,6 +532,14 @@ def tiny_report():
         per_image=(("p1", 1.0), ("p2", 0.0), ("p3", None)),
         counts=(ThresholdCounts(0.4, 1, 1, 0), ThresholdCounts(0.5, 1, 1, 0)),
     )
+
+
+class TestClassification:
+    def test_json_bytes(self):
+        # no true negatives and no false positives: specificity is 0/0
+        text = write_classification(confusion_metrics(ConfusionCounts(tp=2, fp=0, tn=0, fn=1)))
+        assert text == ('{\n  "accuracy": 0.666667,\n  "specificity": 0.000000,\n  "precision": 1.000000,\n'
+                        '  "recall": 0.666667,\n  "f1": 0.800000,\n  "undefined": ["specificity"]\n}\n')
 
 
 class TestReport:

@@ -32,7 +32,7 @@ from cxrdet import (
 )
 from cxrdet.formats import read_prediction_table
 from cxrdet.geometry import detection_rows, iou
-from cxrdet.metrics import MAX_THRESHOLDS, _match, validate_thresholds
+from cxrdet.metrics import MAX_THRESHOLDS, _match, _overlaps, validate_thresholds
 from helpers import random_detections, random_int_box, random_positive_box
 from oracles import greedy_consistent_assignments, per_threshold_match
 
@@ -41,6 +41,12 @@ metrics_module = importlib.import_module("cxrdet.metrics")
 
 def det(box, score):
     return Detection(box, score)
+
+
+def match_image(preds, gt, ts, inclusive):
+    """``_match`` on the one image of Detections ``preds`` and Boxes ``gt``,
+    read off ``_overlaps`` as every scorer reads its images."""
+    return _match(*next(_overlaps([(detection_rows(preds), list(gt))])), ts, inclusive)
 
 
 class TestThresholds:
@@ -190,14 +196,14 @@ class TestBandedMatching:
         if on_overlaps:  # every overlap in (0, 1) is a threshold too, so overlaps sit exactly on thresholds
             overlaps = {iou(p.box, g) for p in preds for g in gt}
             ts = tuple(sorted(set(ts) | {v for v in overlaps if 0.0 < v < 1.0}))
-        assert _match(detection_rows(preds), gt, ts, inclusive) == per_threshold_match(preds, gt, ts, inclusive)
+        assert match_image(preds, gt, ts, inclusive) == per_threshold_match(preds, gt, ts, inclusive)
 
     @pytest.mark.parametrize("inclusive", [False, True])
     def test_overlaps_on_the_thresholds(self, inclusive):
         gt = [Box(0, 0, 4, 4), Box(10, 0, 14, 4)]
         preds = [det(Box(0, 0, 4, 3), 0.9), det(Box(10, 0, 12, 4), 0.9), det(Box(10, 0, 14, 4), 0.1)]  # 0.75, 0.5, 1.0
         ts = (0.4, 0.5, 0.6, 0.75, 0.8)
-        got = _match(detection_rows(preds), gt, ts, inclusive)
+        got = match_image(preds, gt, ts, inclusive)
         assert got == per_threshold_match(preds, gt, ts, inclusive)
         assert [m.tp for m in got] == ([2, 2, 2, 2, 1] if inclusive else [2, 2, 2, 1, 1])
 
@@ -208,7 +214,7 @@ class TestBandedMatching:
         preds = [det(Box(0, 2, 4, 6), 0.9), det(huge, 0.9)]  # overlaps (0, 1/3) and (nan, 0)
         ts = (0.25, 0.5, 0.75)
         for inclusive in (False, True):
-            got = _match(detection_rows(preds), gt, ts, inclusive)
+            got = match_image(preds, gt, ts, inclusive)
             assert got == per_threshold_match(preds, gt, ts, inclusive)
             assert [m.matched_pairs for m in got] == [((0, 1, 1 / 3),), (), ()]
 
@@ -216,14 +222,14 @@ class TestBandedMatching:
     def test_empty_sides(self, n, m):
         preds = [det(Box(0, 0, 4, 4), 0.5)] * n
         gt = [Box(0, 0, 4, 4)] * m
-        assert _match(detection_rows(preds), gt, DEFAULT_THRESHOLDS, False) == [MatchResult(0, n, m, ())] * 8
+        assert match_image(preds, gt, DEFAULT_THRESHOLDS, False) == [MatchResult(0, n, m, ())] * 8
 
     @pytest.mark.parametrize("inclusive", [False, True])
     def test_an_unmatched_overlap_between_thresholds_costs_no_walk(self, inclusive):
         gt = [Box(0, 0, 10, 10)]
         preds = [det(Box(0, 0, 10, 9), 0.9), det(Box(0, 0, 10, 5.5), 0.5)]  # overlaps 0.9 and 0.55
         with patch.object(metrics_module, "_walk", wraps=metrics_module._walk) as walk:
-            got = _match(detection_rows(preds), gt, DEFAULT_THRESHOLDS, inclusive)
+            got = match_image(preds, gt, DEFAULT_THRESHOLDS, inclusive)
         assert walk.call_count == 1
         assert [m.matched_pairs for m in got] == [((0, 0, 0.9),)] * len(DEFAULT_THRESHOLDS)
 
@@ -330,7 +336,7 @@ class TestBatchedOverlaps:
         # 10 x 3 pairs, then 1 x 1, over a budget of 7: passes cut rows and images alike
         for run, expected in ((lambda: score_dataset({"a": gt, "b": gt[:1]}, {"a": preds, "b": preds[:1]}, ts,
                                                      inclusive=inclusive), [7, 7, 7, 7, 3]),
-                              (lambda: _match(detection_rows(preds), gt, ts, inclusive), [7, 7, 7, 7, 2])):
+                              (lambda: match_image(preds, gt, ts, inclusive), [7, 7, 7, 7, 2])):
             result, sizes = pass_sizes(7, run)
             assert sizes == expected
         assert result == per_threshold_match(preds, gt, ts, inclusive)
@@ -340,7 +346,7 @@ class TestBatchedOverlaps:
     def test_one_row_wider_than_the_budget(self):
         gt = [Box(k, 0, k + 2, 2) for k in range(6)]
         preds = [det(Box(1, 0, 3, 2), 0.9), det(Box(4, 0, 6, 2), 0.8)]
-        result, sizes = pass_sizes(4, lambda: _match(detection_rows(preds), gt, DEFAULT_THRESHOLDS, False))
+        result, sizes = pass_sizes(4, lambda: match_image(preds, gt, DEFAULT_THRESHOLDS, False))
         # 2 rows of 6 pairs in passes of 4: each row spans two passes
         assert sizes == [4, 4, 4]
         assert result == per_threshold_match(preds, gt, DEFAULT_THRESHOLDS, False)
@@ -388,6 +394,23 @@ class TestBatchedOverlaps:
         # as in nms: corners refuses it; the scalar iou would take it exactly
         with pytest.raises(OverflowError):
             score_dataset({"a": [Box(0, 0, 10**400, 1)]}, {"a": [det(Box(0, 0, 1, 1), 0.5)]})
+
+
+class TestOneStream:
+    """score_dataset, average_precision and match_boxes all read their images
+    off the one pair stream, so on one image they agree: the per-image score
+    is average_precision's and each threshold's counts are match_boxes'."""
+
+    @given(st.lists(st.builds(det, scored_boxes, tied_scores), max_size=6), st.lists(scored_boxes, max_size=4),
+           threshold_sets, st.booleans())
+    @example([], [], DEFAULT_THRESHOLDS, False)
+    @example([det(Box(0, 0, 4, 4), 0.5)] * 2, [], DEFAULT_THRESHOLDS, False)
+    @example([], [Box(0, 0, 4, 4)], DEFAULT_THRESHOLDS, True)
+    def test_the_scorers_agree_on_one_image(self, preds, gt, ts, inclusive):
+        report = score_dataset({"a": gt}, {"a": preds}, ts, inclusive=inclusive)
+        assert report.per_image == (("a", average_precision(preds, gt, ts, inclusive=inclusive)),)
+        matches = [match_boxes(preds, gt, t, inclusive=inclusive) for t in ts]
+        assert [(c.tp, c.fp, c.fn) for c in report.counts] == [(r.tp, r.fp, r.fn) for r in matches]
 
 
 class TestAveragePrecision:
@@ -528,10 +551,20 @@ class TestKfold:
         sizes = sorted(sum(1 for f in folds.values() if f == k) for k in range(5))
         assert sizes == [2, 2, 2, 2, 3]
 
-    @pytest.mark.parametrize("ids,k", [(list("abc"), 4), (list("abc"), 1), (list("aab"), 2)])
+    @pytest.mark.parametrize("ids,k", [(list("abc"), 4), (list("abc"), 1), (list("aab"), 2), (list("abcde"), 2.5),
+                                      (list("abcde"), 3.0)])
     def test_invalid_requests(self, ids, k):
         with pytest.raises(ValueError):
             kfold_split(ids, k, seed=0)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3"])
+    def test_fold_count_that_is_not_an_integer_is_named(self, k):
+        with pytest.raises(ValueError) as info:
+            kfold_split(list("abcde"), k, seed=0)
+        assert str(info.value) == f"fold count must be an integer: {k!r}"
+
+    def test_numpy_integer_fold_count(self):
+        assert kfold_split(list("abcde"), np.int64(2), seed=0) == kfold_split(list("abcde"), 2, seed=0)
 
     @pytest.mark.parametrize("ids, first", [(list("aab"), "a"), (list("bcaacb"), "a"), (["p,1", "q", "p,1"], "p,1")])
     def test_first_repeated_id_is_named(self, ids, first):
