@@ -20,6 +20,7 @@ anchors, each checked before anything is allocated.
 """
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -29,6 +30,7 @@ from itertools import chain
 from .anchors import MAX_ANCHORS, AnchorSpec, anchor_corners
 from .formats import (
     PredRecord,
+    _f6,
     decode_text,
     group_ground_truth,
     group_predictions,
@@ -108,7 +110,7 @@ def _cmd_score(args) -> int:
     report = score_dataset(gt, preds, args.thresholds, inclusive=args.inclusive_iou)
     if args.out is not None:
         _write_text(args.out, write_report(report))
-    print(f"{report.dataset_map:.6f}")
+    print(_f6(report.dataset_map))
     return 0
 
 
@@ -260,8 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built by the first main call: importing the module builds none
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -17,15 +17,27 @@ its tile's 256 bins.
 
 Image resampling (resize, rotation, shift) is bilinear with the pixel-center
 convention; samples outside the source read as 0 (black), matching the
-radiograph background. CLAHE's blend and resize bracket each position with
-one rule, ``_blend_axis``: the two nearest grid centers and the weight of
-the upper one, 0 before the first center and from the last on. Every
-computed pixel and LUT entry is rounded half up and saturated to uint8 by
-``_round_into``. PGM (binary P5, maxval 255) is the image interchange
-format so fixtures stay bit-exact without codec dependencies; its four
-header tokens are found by one compiled pattern, between whitespace and
-``#`` comments that run to the end of their line. Other maxvals are
-rejected, as every kernel works on the full 0-255 range.
+radiograph background. Every bilinear sample reads its four taps at fixed
+offsets from one index array, that of its lower tap: CLAHE's blend and
+resize through ``_bilinear_into``, at 0, dx, dy and dx + dy (the next tile's
+LUT 256 entries on and the next tile row's ``tiles_x * 256``; the next pixel
+1 on and the next row ``w``), and the augmentation sampler at 0, 1, stride
+and stride + 1 of a film framed by two zero pixels. CLAHE's blend and resize
+place each position by one rule, ``_blend_axis``: the index of the last grid
+center at or before it, and the weight of the upper neighbour, which is
+always that index plus one. Before the first center the index is 0, from
+the last center on it is the last index, and the weight is 0 in both. So a
+tap past the grid is read only with weight 0, through a clipped ``take`` on
+a view that stays non-empty, and no padded copy of a film or a LUT grid is
+made. Every computed pixel and LUT entry is rounded half up and saturated to
+uint8 by ``_round_into`` in three passes: add 0.5, clip to [0, 255], and the
+truncating uint8 cast, which on that range is the floor.
+
+PGM (binary P5, maxval 255) is the image interchange format so fixtures
+stay bit-exact without codec dependencies; its four header tokens are found
+by one compiled pattern, between whitespace and ``#`` comments that run to
+the end of their line. Other maxvals are rejected, as every kernel works on
+the full 0-255 range.
 
 The per-pixel kernels (CLAHE's blend and histograms, resize and the
 augmentation sampler) work through the output in bands of rows, all cut by
@@ -101,23 +113,30 @@ def _bands(start: int, stop: int, width: int):
 
 def _round_into(values: np.ndarray, out: np.ndarray) -> None:
     """Round half up and saturate ``values`` (clobbered) into uint8 ``out``."""
-    # round half up, so the rule is direction-independent and deterministic
+    # round half up, so the rule is direction-independent and deterministic;
+    # on [0, 255] the truncating cast is the floor
     np.add(values, 0.5, out=values)
-    np.floor(values, out=values)
     np.clip(values, 0.0, 255.0, out=values)
     out[...] = values
 
 
-def _bilinear_into(flat, top, bottom, left, right, fx, fy, out) -> None:
+def _bilinear_into(flat, at, dx, dy, fx, fy, out) -> None:
     """Write round((1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10
-    + fx * v11)) into ``out``, where v00 is ``flat[top + left]``, v01 is
-    ``flat[top + right]``, v10 is ``flat[bottom + left]`` and v11 is
-    ``flat[bottom + right]``."""
+    + fx * v11)) into ``out``, where v00 is ``flat[at]``, v01 is ``flat[at +
+    dx]``, v10 is ``flat[at + dy]`` and v11 is ``flat[at + dx + dy]``. A tap
+    whose weight is 0 may lie past the grid: it reads any value of ``flat``."""
+    last = flat.size - 1
+
+    def tap(offset):
+        # each tap is read at a fixed offset from the one index array; the
+        # view stays non-empty and a read past its end takes its last value
+        return np.take(flat[min(offset, last) :], at, mode="clip")
+
     gx = 1.0 - fx
-    upper = gx * np.take(flat, top + left)
-    upper += fx * np.take(flat, top + right)
-    lower = gx * np.take(flat, bottom + left)
-    lower += fx * np.take(flat, bottom + right)
+    upper = gx * tap(0)
+    upper += fx * tap(dx)
+    lower = gx * tap(dy)
+    lower += fx * tap(dx + dy)
     upper *= 1.0 - fy
     lower *= fy
     upper += lower
@@ -137,15 +156,16 @@ def _equalization_lut(hist: np.ndarray, n_pixels: np.ndarray, clip_limit: float,
 
 
 def _blend_axis(centers: np.ndarray, positions: np.ndarray):
-    """Bracketing grid indices (lo, hi) and interpolation weight of each
-    position on an increasing grid of ``centers``. Before the first center
-    and from the last on, lo and hi are that center and the weight is 0."""
+    """Lower grid index and interpolation weight of each position on an
+    increasing grid of ``centers``; the upper neighbour is always lo + 1.
+    Before the first center lo is 0, from the last on it is the last index,
+    and the weight is 0 in both, so an upper tap past the grid is never
+    weighed."""
     hi = np.searchsorted(centers, positions, side="right")
     lo = np.maximum(hi - 1, 0)
-    np.minimum(hi, len(centers) - 1, out=hi)
-    span = centers[hi] - centers[lo]
+    span = centers.take(hi, mode="clip") - centers[lo]
     weight = np.divide(positions - centers[lo], span, out=np.zeros(len(positions)), where=span > 0)
-    return lo, hi, weight
+    return lo, weight
 
 
 def clahe(img, tiles_x: int = 8, tiles_y: int = 8, clip_limit: float = 2.0) -> np.ndarray:
@@ -181,17 +201,17 @@ def clahe(img, tiles_x: int = 8, tiles_y: int = 8, clip_limit: float = 2.0) -> n
         hist = sum(np.bincount(slab.ravel(), minlength=tiles_x * 256) for slab in slabs)
         _equalization_lut(hist.reshape(tiles_x, 256), (y1 - y0) * tile_widths, clip_limit, luts[ty])
 
-    ty0, ty1, wy = _blend_axis((y_edges[:-1] + y_edges[1:] - 1) / 2, np.arange(h))
-    tx0, tx1, wx = _blend_axis((x_edges[:-1] + x_edges[1:] - 1) / 2, np.arange(w))
-    # m00 of pixel (r, c) is luts[ty0[r], tx0[c], img[r, c]], and so on
+    ty0, wy = _blend_axis((y_edges[:-1] + y_edges[1:] - 1) / 2, np.arange(h))
+    tx0, wx = _blend_axis((x_edges[:-1] + x_edges[1:] - 1) / 2, np.arange(w))
+    # m00 of pixel (r, c) is luts[ty0[r], tx0[c], img[r, c]]; the next tile
+    # column's LUT is 256 entries on, the next tile row's tiles_x * 256
     flat = luts.ravel()
-    col0, col1 = tx0 * 256, tx1 * 256
+    row_step = tiles_x * 256
     out = np.empty((h, w), dtype=np.uint8)
     for rows in _bands(0, h, w):
-        pix = img[rows].astype(np.intp)
-        top = ty0[rows, None] * (tiles_x * 256) + pix
-        bottom = ty1[rows, None] * (tiles_x * 256) + pix
-        _bilinear_into(flat, top, bottom, col0, col1, wx, wy[rows, None], out[rows])
+        at = ty0[rows, None] * row_step + tx0 * 256
+        at += img[rows]
+        _bilinear_into(flat, at, 256, row_step, wx, wy[rows, None], out[rows])
     return out
 
 
@@ -205,12 +225,12 @@ def resize(img, out_w: int, out_h: int) -> np.ndarray:
     if out_w * out_h > MAX_RESIZE_PIXELS:
         raise ValueError(f"output size {out_w}x{out_h} exceeds {MAX_RESIZE_PIXELS} pixels")
     _check_sides(out_w, out_h)
-    x0, x1, fx = _blend_axis(np.arange(w, dtype=float), (np.arange(out_w) + 0.5) * (w / out_w) - 0.5)
-    y0, y1, fy = _blend_axis(np.arange(h, dtype=float), (np.arange(out_h) + 0.5) * (h / out_h) - 0.5)
+    x0, fx = _blend_axis(np.arange(w, dtype=float), (np.arange(out_w) + 0.5) * (w / out_w) - 0.5)
+    y0, fy = _blend_axis(np.arange(h, dtype=float), (np.arange(out_h) + 0.5) * (h / out_h) - 0.5)
     flat = img.ravel()
     out = np.empty((out_h, out_w), dtype=np.uint8)
     for rows in _bands(0, out_h, out_w):
-        _bilinear_into(flat, y0[rows, None] * w, y1[rows, None] * w, x0, x1, fx, fy[rows, None], out[rows])
+        _bilinear_into(flat, y0[rows, None] * w + x0, 1, w, fx, fy[rows, None], out[rows])
     return out
 
 
@@ -307,18 +327,19 @@ def augment(img, boxes, spec: AugmentSpec):
         np.clip(x_idx, -2.0, w, out=x_idx)
         y_idx -= 0.5
         np.clip(y_idx, -2.0, h, out=y_idx)
-        x0 = np.floor(x_idx).astype(int)
-        y0 = np.floor(y_idx).astype(int)
-        fx = x_idx - x0
-        fy = y_idx - y0
-        gx = 1.0 - fx
-        gy = 1.0 - fy
-        # flat index of each (y0, x0) tap in the framed film
-        at = y0
-        at += 2
-        at *= stride
+        x0 = np.floor(x_idx)
+        y0 = np.floor(y_idx)
+        # flat index of each (y0, x0) tap in the framed film, formed in float64,
+        # exact as its integers stay far below 2**53, and cast once
+        at = y0 * stride
         at += x0
-        at += 2
+        at += 2 * stride + 2
+        at = at.astype(np.intp)
+        # the fractions take the sample points' place, and 1 - f the floors'
+        fx = np.subtract(x_idx, x0, out=x_idx)
+        fy = np.subtract(y_idx, y0, out=y_idx)
+        gx = np.subtract(1.0, fx, out=x0)
+        gy = np.subtract(1.0, fy, out=y0)
         # acc = gx*gy*v00 + fx*gy*v01 + gx*fy*v10 + fx*fy*v11, summed in that
         # order; the weights are formed in place as gx*fy, fx*fy and fx*gy
         acc = gx * gy

@@ -864,3 +864,42 @@ def test_extreme_real_flags_warn_nothing_in_a_fresh_process(tmp_path, flags):
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert read_pgm(out).shape == (12, 20)
+
+
+def test_one_process_parser_answers_as_fresh_processes(tmp_path):
+    # main builds its parser once per process; calls after an argparse error
+    # and across subcommands print and exit as each would in a process of its own
+    gt, preds, labels = tmp_path / "gt.csv", tmp_path / "preds.csv", tmp_path / "labels.csv"
+    gt.write_text(GT_TEXT)
+    preds.write_text(THREE_BOX_PREDS)
+    labels.write_text("patientId,truth,pred\np1,1,1\np2,0,1\n")
+    calls = [
+        ["score", str(gt), str(preds)],
+        ["nms", str(preds), "--mode", "bogus"],
+        ["nms", str(preds), "--mode", "soft-linear"],
+        ["score", str(gt), str(preds), "--thresholds", "0.5", "--inclusive-iou"],
+        ["classify", str(labels)],
+        ["anchors", "--grid=2"],
+        ["folds", str(tmp_path / "missing.txt")],
+        ["anchors", "--grid=1x1", "--scales=8"],
+    ]
+    in_process = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        in_process.append((code, out.getvalue(), err.getvalue()))
+    fresh = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from cxrdet.cli import main; sys.exit(main())", *argv],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cxrdet.__file__))},
+            capture_output=True, text=True, timeout=60,
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0, 2, 1, 0]
+    assert cli._parser() is cli._parser() and cli.build_parser() is not cli.build_parser()

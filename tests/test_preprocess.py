@@ -19,8 +19,9 @@ from cxrdet import (
     scale_boxes,
 )
 from cxrdet import preprocess
-from cxrdet.preprocess import _BAND_PIXELS, MAX_CLAHE_TILES, MAX_RESIZE_PIXELS, MAX_SIDE, _bands
+from cxrdet.preprocess import _BAND_PIXELS, MAX_CLAHE_TILES, MAX_RESIZE_PIXELS, MAX_SIDE, _bands, _round_into
 from oracles import (
+    _round_to_u8,
     byte_loop_decode_pgm,
     global_hist_eq,
     per_box_hull_boxes,
@@ -551,6 +552,15 @@ def test_augment_far_out_of_image_reads_zero_without_warnings(rotation, shift_x,
 # second of two tile rows, and of one
 @example(8, 3 * ROWS_AT_1024 + 1, 512, 8, 2, 2.0)
 @example(9, 3 * ROWS_AT_1024 + 1, 512, 3, 1, math.inf)
+# a tap of the next tile column or row sits dx = 256 or dy = tiles_x * 256 LUT
+# entries on: with one tile column, one tile row or both, the upper taps of the
+# last tiles lie past the whole LUT grid, and one tile per pixel weighs none
+@example(13, 17, 31, 1, 5, 2.0)
+@example(14, 17, 31, 6, 1, 2.0)
+@example(15, 17, 31, 1, 1, math.inf)
+@example(16, 1, 31, 4, 1, 2.0)
+@example(17, 2, 17, 0, 8, 2.0)
+@example(18, 5, 5, 5, 5, 40.0)
 def test_clahe_equals_whole_image_blend(seed, h, w, tiles_x, tiles_y, clip_limit):
     img = film(seed, h, w)
     tiles_x = min(tiles_x, w) or w
@@ -594,6 +604,14 @@ def test_clahe_at_the_tile_cap_equals_the_per_tile_oracle():
 @example(5, 5, 17, 2 * ROWS_AT_1024 + 3, 1500, None)
 @example(6, 2, 3, 3, _BAND_PIXELS + 1, None)
 @example(10, 7, 9, 4 * ROWS_AT_1024 + 3, 512, None)
+# 1 x N and N x 1 films, and 1 x 1, enlarged and shrunk: the taps one column
+# (dx = 1) or one row (dy = w) on lie past the film
+@example(19, 1, 17, 3, 40, None)
+@example(20, 1, 31, 1, 5, None)
+@example(21, 17, 1, 40, 3, None)
+@example(22, 31, 1, 5, 1, None)
+@example(23, 1, 1, 4, 3, None)
+@example(24, 1, 17, 1, 17, None)
 def test_resize_equals_whole_image_gather(seed, h, w, out_h, out_w, factors):
     if factors:
         fy, fx = factors
@@ -602,3 +620,11 @@ def test_resize_equals_whole_image_gather(seed, h, w, out_h, out_w, factors):
     img = film(seed, h, w)
     got = resize(img, out_w, out_h)
     assert got.tobytes() == whole_image_resize(img, out_w, out_h).tobytes()
+
+
+def test_round_into_equals_the_floor_clip_cast_oracle():
+    # halves on both sides of 0 and 255, the largest double under 0.5 and values past the range
+    values = np.array([-1.5, -0.5, -0.0, 0.49999999999999994, 0.5, 254.5, 255.49999999999997, 255.5, 300.0])
+    out = np.empty(len(values), dtype=np.uint8)
+    _round_into(values.copy(), out)
+    assert out.tolist() == _round_to_u8(values).tolist() == [0, 0, 0, 1, 1, 255, 255, 255, 255]
