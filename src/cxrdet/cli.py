@@ -54,7 +54,7 @@ from .metrics import (
     threshold_range,
     validate_thresholds,
 )
-from .nms import HARD, SOFT_GAUSSIAN, SOFT_LINEAR, NmsConfig, nms
+from .nms import HARD, _MODES, NmsConfig, nms
 from .preprocess import MAX_CLAHE_TILES, MAX_RESIZE_PIXELS, AugmentSpec, augment, clahe, read_pgm, resize, write_pgm
 
 
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nms", help="suppress overlapping detections in a predictions file")
     p.add_argument("input", help="predictions CSV")
     p.add_argument("--out", help="output predictions CSV (default stdout)")
-    p.add_argument("--mode", choices=(HARD, SOFT_LINEAR, SOFT_GAUSSIAN), default=HARD)
+    p.add_argument("--mode", choices=_MODES, default=HARD)
     p.add_argument("--iou", type=float, default=0.5, help="suppression IoU threshold")
     p.add_argument("--sigma", type=float, default=0.5, help="gaussian decay width")
     p.add_argument("--score-cut", type=float, default=0.001, help="drop decayed scores below this")

@@ -79,6 +79,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 from itertools import accumulate, chain
 
 import numpy as np
@@ -520,8 +521,8 @@ def write_report(report: ScoreReport) -> str:
 
 def write_classification(metrics) -> str:
     """Render ClassificationMetrics as JSON with stable keys and 6-decimal reals."""
-    fields = {name: _f6(getattr(metrics, name)) for name in ("accuracy", "specificity", "precision", "recall", "f1")}
-    return write_json_object({**fields, "undefined": json.dumps(list(metrics.undefined))})
+    reals = {f.name: _f6(getattr(metrics, f.name)) for f in dataclass_fields(metrics) if f.name != "undefined"}
+    return write_json_object({**reals, "undefined": json.dumps(list(metrics.undefined))})
 
 
 def _read_as(kind, value):

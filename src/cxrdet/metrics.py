@@ -29,8 +29,7 @@ score has one home:
   counts are FP = N - TP and FN = M - TP, N and M the sizes of all scored
   images.
 - The dataset mean: ``mean_average_precision`` lives in ``formats``, beside
-  the ``ScoreReport`` that checks its ``dataset_map`` against it, and is
-  re-exported here.
+  the ``ScoreReport`` that checks its ``dataset_map`` against it.
 
 Predictions are scored as table rows. ``score_dataset`` scores a
 ``PredictionTable``, the form ``formats.read_prediction_table`` reads, whose
@@ -76,7 +75,6 @@ __all__ = [
     "ClassificationMetrics",
     "match_boxes",
     "average_precision",
-    "mean_average_precision",
     "score_dataset",
     "confusion_metrics",
     "kfold_split",
@@ -84,7 +82,6 @@ __all__ = [
     "binary_cross_entropy",
     "total_loss",
     "threshold_range",
-    "validate_thresholds",
 ]
 
 DEFAULT_THRESHOLDS = (0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75)

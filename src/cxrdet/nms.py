@@ -33,8 +33,9 @@ mode.
 
 The walk itself, ``nms_rows``, reads ``(n, 5)`` score-and-corner rows and
 returns ``(row index, final score)`` per pick; ``nms`` is its wrapper for
-``Detection`` objects (defined in ``geometry`` and re-exported here), whose
-rows ``detection_rows`` reads, and proposal selection hands it array rows.
+``Detection`` objects, whose rows ``detection_rows`` reads, and proposal
+selection hands it array rows. ``Detection`` is ``geometry``'s and public
+there; ``from cxrdet.nms import Detection`` still finds it here.
 """
 
 import math
@@ -45,7 +46,7 @@ import numpy as np
 from .geometry import Detection, box_columns, detection_rows, iou_columns, iou_matrix
 from .geometry import iou  # noqa: F401  (bench/tracing.py wraps iou here)
 
-__all__ = ["Detection", "NmsConfig", "nms", "nms_rows", "HARD", "SOFT_LINEAR", "SOFT_GAUSSIAN"]
+__all__ = ["NmsConfig", "nms", "nms_rows", "HARD", "SOFT_LINEAR", "SOFT_GAUSSIAN"]
 
 HARD = "hard"
 SOFT_LINEAR = "soft-linear"
