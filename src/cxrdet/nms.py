@@ -56,8 +56,14 @@ _MODES = (HARD, SOFT_LINEAR, SOFT_GAUSSIAN)
 
 # below this many detections every IoU row is read from one matrix built per
 # call, as per-pick rows cost more numpy calls: they ran about x2 slower at 20
-# to 80 rows in every mode, and at parity from 180 rows (2-vCPU Xeon, numpy
-# 2.4). At and above it each pick computes its own row, so memory stays linear
+# to 80 rows in every mode. At and above it each pick computes its own row, so
+# scratch memory stays linear: the switch bounds memory, not time. On nms-raw's
+# own images (seed 3, both shards, medians of 41 calls, 2-vCPU Xeon, numpy
+# 2.4) the matrix was still x1.3-1.5 faster at 180 rows in every mode (hard
+# 1.04-1.05 against 1.32-1.39 ms, soft-gaussian 1.71-1.76 against 2.28-2.31
+# ms) but peaked at 1.48 MB of scratch against 0.02-0.03 MB; at 420 rows
+# per-pick rows were x1.2-1.6 faster, and the matrix peaked at 7.4 MB
+# against 0.05-0.06 MB
 _MATRIX_BELOW = 128
 
 

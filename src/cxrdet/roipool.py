@@ -2,8 +2,9 @@
 
 Which cells each output bin folds depends only on the snapped extent and the
 grid size. A detector pools every proposal to one grid size over a map a few
-dozen cells wide, so these tap plans are built once per (cells, bins) pair
-and kept as read-only index arrays in a small bounded cache.
+dozen cells wide, so each tap plan is built once per (cells, bins) pair as
+one read-only index array and kept in a small bounded cache. One helper,
+``_fold``, folds either axis through its plan.
 """
 
 import functools
@@ -30,10 +31,11 @@ def roi_max_pool(feature_map, roi: Box, out_w: int, out_h: int) -> np.ndarray:
 
     The snapped region is copied once, cells first, as (width, height) or
     (width, height, channels), so every gather moves whole channel vectors;
-    max is separable, so rows pool into strips and strips into bins. The
-    finiteness check runs on that contiguous copy, which holds exactly the
-    cells the roi reads, before any gather. The result is a new C-contiguous
-    array of the map's dtype.
+    max is separable, so ``_fold`` pools rows into strips and then strips
+    into bins, each through its axis's tap plan, one read-only index array.
+    The finiteness check runs on that contiguous copy, which holds exactly
+    the cells the roi reads, before any gather. The result is a new
+    C-contiguous array of the map's dtype.
 
     Raises ValueError for a roi entirely outside the map or one that snaps
     to zero cells, for a non-finite cell the roi reads (cells outside the
@@ -62,51 +64,52 @@ def roi_max_pool(feature_map, roi: Box, out_w: int, out_h: int) -> np.ndarray:
     # the result comes before the scratch arrays: kept above them, it fragments the heap
     out = np.empty(fm.shape[:-2] + (out_h, out_w), dtype=fm.dtype)
     # Cells first: (w, h[, C]) puts each cell's channel vector in one run, so
-    # every gather below copies whole runs. Max is separable: pool rows into
-    # strips, then strips into bins, each pass folding every bin's d-th cell
-    # at once. np.maximum returns its second argument on a tie of 0.0 and
-    # -0.0, so this order (rows, then columns, each in cell order) fixes the
-    # sign of a tied zero.
+    # every gather below copies whole runs. Max is separable: _fold pools rows
+    # into strips, then strips into bins, each fold taking every bin's d-th
+    # cell at once from row d of that axis's plan. np.maximum returns its
+    # second argument on a tie of 0.0 and -0.0, so this order (rows, then
+    # columns, each in cell order) fixes the sign of a tied zero.
     cells = np.ascontiguousarray(fm[..., cy0:cy1, cx0:cx1].T)
     if not np.isfinite(cells).all():
         raise ValueError("feature map values the roi reads must be finite")
-    row_taps = _taps(roi_h, out_h)
-    strips = cells[:, row_taps[0]]
-    for taps in row_taps[1:]:
-        np.maximum(strips, cells[:, taps], out=strips)
-    col_taps = _taps(roi_w, out_w)
-    bins = strips[col_taps[0]]
-    for taps in col_taps[1:]:
-        np.maximum(bins, strips[taps], out=bins)
-    out.T[...] = bins
+    out.T[...] = _fold(_fold(cells, _taps(roi_h, out_h), 1), _taps(roi_w, out_w), 0)
     return out
+
+
+def _fold(values: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """The max of ``values`` over each bin's cells along ``axis``: row 0 of the
+    plan ``taps`` is taken first, then each later row is folded in, in order."""
+    folded = values.take(taps[0], axis)
+    for t in taps[1:]:
+        np.maximum(folded, values.take(t, axis), out=folded)
+    return folded
 
 
 # Plans for a roi or grid wider than this many cells are built afresh on
 # every call, so a huge output size leaves nothing behind. A bin spans at most
-# ceil(cells/bins) + 1 cells, so a cached plan holds at most
-# _MAX_CACHED_SIDE + 1 arrays and 3 * _MAX_CACHED_SIDE indices in all.
+# ceil(cells/bins) + 1 cells, so a cached plan is one array of at most
+# 3 * _MAX_CACHED_SIDE indices.
 _MAX_CACHED_SIDE = 128
 _PLAN_CACHE_SIZE = 64
 
 
-def _taps(cells: int, bins: int) -> tuple[np.ndarray, ...]:
+def _taps(cells: int, bins: int) -> np.ndarray:
     """The tap plan of :func:`_build_bin_taps`, from the cache when it is small."""
     if cells <= _MAX_CACHED_SIDE and bins <= _MAX_CACHED_SIDE:
         return _bin_taps(cells, bins)
     return _build_bin_taps(cells, bins)
 
 
-def _build_bin_taps(cells: int, bins: int) -> tuple[np.ndarray, ...]:
-    """Every bin's d-th cell, for each d, as a read-only intp array: bin k
-    spans cells [floor(k*cells/bins), ceil((k+1)*cells/bins)) and repeats its
-    last cell once it runs out; max is idempotent, so a repeat changes nothing."""
+def _build_bin_taps(cells: int, bins: int) -> np.ndarray:
+    """One read-only (span, bins) intp array whose row d holds every bin's
+    d-th cell: bin k spans cells [floor(k*cells/bins), ceil((k+1)*cells/bins))
+    and repeats its last cell once it runs out; max is idempotent, so a repeat
+    changes nothing."""
     k = np.arange(bins, dtype=np.intp)
     starts = k * cells // bins
     stops = -(-(k + 1) * cells // bins)
-    taps = tuple(np.minimum(starts + d, stops - 1) for d in range(int((stops - starts).max())))
-    for t in taps:
-        t.flags.writeable = False  # a cached plan is shared by every later call
+    taps = np.minimum(starts + np.arange((stops - starts).max())[:, None], stops - 1)
+    taps.flags.writeable = False  # a cached plan is shared by every later call
     return taps
 
 

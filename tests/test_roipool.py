@@ -298,6 +298,17 @@ class TestTapPlans:
             with pytest.raises(ValueError):
                 t[0] = 0
 
+    @pytest.mark.parametrize("cells, bins", [(9, 7), (3, 1), (1, 5), (_MAX_CACHED_SIDE, 3)])
+    def test_cached_plan_is_one_read_only_array(self, cells, bins):
+        plan = _taps(cells, bins)
+        assert _taps(cells, bins) is plan
+        assert isinstance(plan, np.ndarray)
+        assert plan.ndim == 2 and plan.shape[1] == bins
+        assert plan.dtype == np.intp
+        assert not plan.flags.writeable
+        with pytest.raises(ValueError):
+            plan[0, 0] = 0
+
     def test_cache_stays_within_its_bound(self):
         _bin_taps.cache_clear()
         for cells in range(1, 41):
@@ -319,7 +330,7 @@ class TestTapPlans:
 
     def test_retained_memory_is_bounded(self):
         # fill the cache twice over with the largest plans it may keep, and
-        # show what stays behind is bounded (the worst case is about 180 kB)
+        # show what stays behind is bounded (the worst case is about 110 kB)
         _bin_taps.cache_clear()
         tracemalloc.start()
         try:
@@ -332,7 +343,7 @@ class TestTapPlans:
             tracemalloc.stop()
             _bin_taps.cache_clear()
         assert _bin_taps.cache_info().currsize == 0
-        assert retained < 400_000
+        assert retained < 160_000
 
 
 # A detector-sized map: every roi below pools at the grid size the detector
