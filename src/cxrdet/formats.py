@@ -21,7 +21,9 @@ Labels CSV (binary per-image truth and prediction, for ``cxrdet classify``)::
 
 Boxes in the first two use the (x, y, width, height) convention and are
 converted to corner form here, at the boundary, so everything downstream
-speaks a single convention. Ground-truth boxes go through ``Box.from_xywh``.
+speaks a single convention. Both box CSVs check a box by one rule,
+``_checked_box``: it is fast when the four fields parse, and only when they
+do not does it walk them in order, so the first bad one names the error.
 Predictions have one reader, ``read_prediction_table``: it reads a file into
 a ``PredictionTable``, one (N, 5) float64 array of score, x_min, y_min,
 x_max, y_max rows with an id and a row range per CSV row, and builds no
@@ -31,9 +33,9 @@ same IEEE adds Python makes, so a -0.0 extent keeps its sign), and
 finiteness, the confidence range, negative extents and an ``x + w`` that
 overflows are checked over the whole array at once. When any row fails, the
 text is read again and each row walked token by token in row order
-(``_checked_tokens``, whose boxes go through the ground-truth reader's
-ordered check, ``_checked_box``), so the error names the first bad token,
-confidence or box and its line. ``read_predictions`` wraps the table reader
+(``_checked_tokens``, whose boxes go through ``_checked_box`` as the
+ground truth's do), so the error names the first bad token, confidence or
+box and its line. ``read_predictions`` wraps the table reader
 and builds the public ``PredRecord``s, each from its own slice of the
 table's rows, so the rows never all become Python floats at once. Unknown or
 missing columns are an error, LF and CRLF both parse, and floats are
@@ -309,9 +311,14 @@ def _parse_real(token: str, what: str) -> float:
 
 
 def _checked_box(fields: list[str]) -> Box:
-    """The box of x, y, w, h fields, each parsed and checked in order, so the
-    first bad field, then a negative extent or an overflowing corner, raises."""
-    return Box.from_xywh(*(_parse_real(f, name) for f, name in zip(fields, "xywh")))
+    """The box of x, y, w, h fields, the one box check of both box CSVs. It is
+    fast when the fields parse; when they do not, each is parsed and checked
+    in order, so the first bad field, then a negative extent or an overflowing
+    corner, raises."""
+    try:
+        return Box.from_xywh(*map(float, fields))
+    except ValueError:  # a non-numeric, non-finite or negative field: find the first in order
+        return Box.from_xywh(*(_parse_real(f, name) for f, name in zip(fields, "xywh")))
 
 
 def _ground_truth_row(patient_id: str, fields: list[str]) -> GtRecord:
@@ -324,11 +331,7 @@ def _ground_truth_row(patient_id: str, fields: list[str]) -> GtRecord:
         return GtRecord(patient_id, None, 0)
     if not all(box_fields):
         raise ValueError("target 1 rows need all four box fields")
-    try:
-        box = Box.from_xywh(*map(float, box_fields))
-    except ValueError:  # a non-numeric, non-finite or negative field: find the first in order
-        box = _checked_box(box_fields)
-    return GtRecord(patient_id, box, 1)
+    return GtRecord(patient_id, _checked_box(box_fields), 1)
 
 
 def read_ground_truth(text: str) -> list[GtRecord]:

@@ -108,14 +108,17 @@ class NmsConfig:
 
 def nms_rows(rows: np.ndarray, config: NmsConfig | None = None, classes=None, *,
              max_keep: int | None = None) -> list[tuple[int, float]]:
-    """The greedy walk over an (n, 5) float64 array of score, x_min, y_min,
-    x_max, y_max rows; returns ``(row index, final score)`` per pick, in pick
-    order. ``classes`` is None or n integer codes, and rows with distinct codes
+    """The greedy walk over (n, 5) score, x_min, y_min, x_max, y_max rows;
+    returns ``(row index, final score)`` per pick, in pick order. The rows are
+    read once as a float64 array, which copies nothing when they already are
+    one, so integer rows and nested lists walk as their float64 values do.
+    ``classes`` is None or n integer codes, and rows with distinct codes
     never suppress each other. With ``max_keep`` the walk stops after that
     many picks."""
     cfg = config if config is not None else NmsConfig()
     if max_keep is not None and max_keep < 0:
         raise ValueError(f"max_keep must be non-negative: {max_keep!r}")
+    rows = np.asarray(rows, dtype=np.float64)
     n = len(rows)
     limit = n if max_keep is None else min(max_keep, n)
     scores = rows[:, 0].copy()  # -inf once a row has left

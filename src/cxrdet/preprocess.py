@@ -17,12 +17,13 @@ its tile's 256 bins.
 
 Image resampling (resize, rotation, shift) is bilinear with the pixel-center
 convention; samples outside the source read as 0 (black), matching the
-radiograph background. Every bilinear sample reads its four taps at fixed
-offsets from one index array, that of its lower tap: CLAHE's blend and
-resize through ``_bilinear_into``, at 0, dx, dy and dx + dy (the next tile's
-LUT 256 entries on and the next tile row's ``tiles_x * 256``; the next pixel
-1 on and the next row ``w``), and the augmentation sampler at 0, 1, stride
-and stride + 1 of a film framed by two zero pixels. CLAHE's blend and resize
+radiograph background. Every bilinear sample reads its four taps through one
+reader, ``_tap``, at fixed offsets from one index array, that of its lower
+tap: CLAHE's blend and resize through ``_bilinear_into``, at 0, dx, dy and
+dx + dy (the next tile's LUT 256 entries on and the next tile row's
+``tiles_x * 256``; the next pixel 1 on and the next row ``w``), and the
+augmentation sampler at 0, 1, stride and stride + 1 of a film framed by two
+zero pixels, where the reader's clip never acts. CLAHE's blend and resize
 place each position by one rule, ``_blend_axis``: the index of the last grid
 center at or before it, and the weight of the upper neighbour, which is
 always that index plus one. Before the first center the index is 0, from
@@ -120,23 +121,22 @@ def _round_into(values: np.ndarray, out: np.ndarray) -> None:
     out[...] = values
 
 
+def _tap(flat: np.ndarray, at: np.ndarray, offset: int) -> np.ndarray:
+    """``flat[at + offset]``, read from one index array at a fixed offset; the
+    view stays non-empty and a read past its end takes its last value."""
+    return np.take(flat[min(offset, flat.size - 1) :], at, mode="clip")
+
+
 def _bilinear_into(flat, at, dx, dy, fx, fy, out) -> None:
     """Write round((1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10
     + fx * v11)) into ``out``, where v00 is ``flat[at]``, v01 is ``flat[at +
     dx]``, v10 is ``flat[at + dy]`` and v11 is ``flat[at + dx + dy]``. A tap
     whose weight is 0 may lie past the grid: it reads any value of ``flat``."""
-    last = flat.size - 1
-
-    def tap(offset):
-        # each tap is read at a fixed offset from the one index array; the
-        # view stays non-empty and a read past its end takes its last value
-        return np.take(flat[min(offset, last) :], at, mode="clip")
-
     gx = 1.0 - fx
-    upper = gx * tap(0)
-    upper += fx * tap(dx)
-    lower = gx * tap(dy)
-    lower += fx * tap(dx + dy)
+    upper = gx * _tap(flat, at, 0)
+    upper += fx * _tap(flat, at, dx)
+    lower = gx * _tap(flat, at, dy)
+    lower += fx * _tap(flat, at, dx + dy)
     upper *= 1.0 - fy
     lower *= fy
     upper += lower
@@ -310,12 +310,12 @@ def augment(img, boxes, spec: AugmentSpec):
     # zero pixels: with the sample point clipped to [-2, w] x [-2, h] before
     # the cast, a tap outside the film reads 0, a point outside the frame reads
     # only the frame's zeros whatever its weights, and a point far outside
-    # never reaches the int cast unbounded.
+    # never reaches the int cast unbounded. So every tap ``_tap`` reads, at 0,
+    # 1, stride and stride + 1, lies inside the framed film: its clip never acts.
     stride = w + 4
     framed = np.zeros((h + 4, stride), dtype=np.uint8)
     framed[2:-2, 2:-2] = img
     flat = framed.ravel()
-    taps = (flat, flat[1:], flat[stride:], flat[stride + 1 :])
     out = np.empty((h, w), dtype=np.uint8)
     for rows in _bands(0, h, w):
         # two finite terms of a far shift may sum past the float range, to
@@ -343,15 +343,15 @@ def augment(img, boxes, spec: AugmentSpec):
         # acc = gx*gy*v00 + fx*gy*v01 + gx*fy*v10 + fx*fy*v11, summed in that
         # order; the weights are formed in place as gx*fy, fx*fy and fx*gy
         acc = gx * gy
-        acc *= np.take(taps[0], at)
+        acc *= _tap(flat, at, 0)
         gx *= fy
         fy *= fx
         fx *= gy
-        fx *= np.take(taps[1], at)
+        fx *= _tap(flat, at, 1)
         acc += fx
-        gx *= np.take(taps[2], at)
+        gx *= _tap(flat, at, stride)
         acc += gx
-        fy *= np.take(taps[3], at)
+        fy *= _tap(flat, at, stride + 1)
         acc += fy
         _round_into(acc, out[rows])
     return out, new_boxes

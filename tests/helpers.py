@@ -1,6 +1,8 @@
-"""Seeded random-input generators shared across test modules."""
+"""Seeded random-input generators and the dataset-scoring oracle shared
+across test modules."""
 
 from cxrdet import Box, Detection
+from oracles import per_threshold_match
 
 
 def random_int_box(rng, hi=64) -> Box:
@@ -27,3 +29,21 @@ def random_detections(rng, n, hi=40, classes=(None,)) -> list[Detection]:
         score = round(rng.random(), 2)
         dets.append(Detection(box, score, rng.choice(classes)))
     return dets
+
+
+def per_image_oracle(gt_boxes, predictions, ts, inclusive):
+    """Per-image scores and per-threshold [tp, fp, fn] totals from one full
+    walk per threshold and image, with overlaps from the scalar iou."""
+    per_image, totals = [], [[0, 0, 0] for _ in ts]
+    for pid in sorted(set(gt_boxes) | set(predictions)):
+        preds, gt = list(predictions.get(pid, ())), list(gt_boxes.get(pid, ()))
+        if not preds and not gt:
+            per_image.append((pid, None))
+            continue
+        matches = per_threshold_match(preds, gt, ts, inclusive)
+        per_image.append((pid, sum(m.tp / (m.tp + m.fp + m.fn) for m in matches) / len(ts)))
+        for total, m in zip(totals, matches):
+            total[0] += m.tp
+            total[1] += m.fp
+            total[2] += m.fn
+    return per_image, totals

@@ -36,7 +36,8 @@ from cxrdet import cli
 from cxrdet.anchors import MAX_ANCHORS
 from cxrdet.cli import main
 from cxrdet.preprocess import MAX_CLAHE_TILES, MAX_RESIZE_PIXELS, MAX_SIDE
-from oracles import per_threshold_match, token_by_token_read_predictions
+from helpers import per_image_oracle
+from oracles import token_by_token_read_predictions
 
 GT_TEXT = """patientId,x,y,width,height,Target
 p1,10,10,20,20,1
@@ -190,18 +191,7 @@ def oracle_score(gt_text, pred_text, ts, inclusive):
     reader and one full greedy walk per threshold."""
     gt = group_ground_truth(read_ground_truth(gt_text))
     preds = group_predictions(token_by_token_read_predictions(pred_text))
-    per_image, totals = [], [[0, 0, 0] for _ in ts]
-    for pid in sorted(set(gt) | set(preds)):
-        p, g = preds.get(pid, []), gt.get(pid, [])
-        if not p and not g:
-            per_image.append((pid, None))
-            continue
-        matches = per_threshold_match(p, g, ts, inclusive)
-        per_image.append((pid, sum(m.tp / (m.tp + m.fp + m.fn) for m in matches) / len(ts)))
-        for total, m in zip(totals, matches):
-            total[0] += m.tp
-            total[1] += m.fp
-            total[2] += m.fn
+    per_image, totals = per_image_oracle(gt, preds, ts, inclusive)
     scores = [score for _, score in per_image]
     report = ScoreReport(
         dataset_map=mean_average_precision(scores),

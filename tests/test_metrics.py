@@ -33,7 +33,7 @@ from cxrdet import (
 from cxrdet.formats import read_prediction_table
 from cxrdet.geometry import detection_rows, iou
 from cxrdet.metrics import MAX_THRESHOLDS, _match, _overlaps, validate_thresholds
-from helpers import random_detections, random_int_box, random_positive_box
+from helpers import per_image_oracle, random_detections, random_int_box, random_positive_box
 from oracles import greedy_consistent_assignments, per_threshold_match
 
 metrics_module = importlib.import_module("cxrdet.metrics")
@@ -252,24 +252,6 @@ def datasets(draw):
         if where != "gt":
             predictions[f"p{i}"] = draw(st.lists(st.builds(det, scored_boxes, tied_scores), max_size=7))
     return gt_boxes, predictions
-
-
-def per_image_oracle(gt_boxes, predictions, ts, inclusive):
-    """Per-image scores and per-threshold [tp, fp, fn] totals from one full
-    walk per threshold and image, with overlaps from the scalar iou."""
-    per_image, totals = [], [[0, 0, 0] for _ in ts]
-    for pid in sorted(set(gt_boxes) | set(predictions)):
-        preds, gt = list(predictions.get(pid, ())), list(gt_boxes.get(pid, ()))
-        if not preds and not gt:
-            per_image.append((pid, None))
-            continue
-        matches = per_threshold_match(preds, gt, ts, inclusive)
-        per_image.append((pid, sum(m.tp / (m.tp + m.fp + m.fn) for m in matches) / len(ts)))
-        for total, m in zip(totals, matches):
-            total[0] += m.tp
-            total[1] += m.fp
-            total[2] += m.fn
-    return per_image, totals
 
 
 def pass_sizes(budget, run):

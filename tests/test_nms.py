@@ -298,6 +298,17 @@ class TestRowSources:
                 outs.append([(id(d.box), d.score.hex(), d.class_id) for d in nms(dets, cfg)])
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("mode", [HARD, SOFT_LINEAR, SOFT_GAUSSIAN])
+    @pytest.mark.parametrize("n", [2, _MATRIX_BELOW])
+    @pytest.mark.parametrize("as_rows", [np.asarray, np.ndarray.tolist], ids=["int-array", "list"])
+    def test_integer_and_list_rows_walk_as_float64_rows(self, mode, n, as_rows):
+        # an integer score column cannot hold the -inf of a row that has left
+        rng = random.Random(n)
+        ints = np.array([(rng.randint(1, 9), *_board_row(rng)) for _ in range(n)])
+        ints[:2] = [[1, 0, 0, 10, 10], [1, 1, 0, 11, 10]]
+        cfg = NmsConfig(mode=mode)
+        assert nms_rows(as_rows(ints), cfg) == nms_rows(ints.astype(np.float64), cfg)
+
 
 def _flat_row(rng):
     """A zero-area box on the board: a point, or a segment along x or y."""
